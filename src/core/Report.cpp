@@ -129,14 +129,22 @@ std::string Report::renderCsv(const std::vector<AppResults> &All) const {
       Out += A.Name;
       Out += ",";
       Out += schemeName(Schemes[I]);
-      Out += "," + fmtExact(R.EnergyJ);
-      Out += "," + fmtExact(R.EnergyJ / B.EnergyJ);
-      Out += "," + fmtExact(R.IoTimeMs);
-      Out += "," + fmtExact(R.IoTimeMs / B.IoTimeMs - 1.0);
-      Out += "," + fmtExact(R.WallTimeMs);
-      Out += "," + std::to_string(R.SpinDowns);
-      Out += "," + std::to_string(R.RpmSteps);
-      Out += "," + fmtExact(MissedJ);
+      Out += ',';
+      appendExact(Out, R.EnergyJ);
+      Out += ',';
+      appendExact(Out, R.EnergyJ / B.EnergyJ);
+      Out += ',';
+      appendExact(Out, R.IoTimeMs);
+      Out += ',';
+      appendExact(Out, R.IoTimeMs / B.IoTimeMs - 1.0);
+      Out += ',';
+      appendExact(Out, R.WallTimeMs);
+      Out += ',';
+      Out += std::to_string(R.SpinDowns);
+      Out += ',';
+      Out += std::to_string(R.RpmSteps);
+      Out += ',';
+      appendExact(Out, MissedJ);
       Out += "\n";
     }
   }

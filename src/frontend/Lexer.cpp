@@ -7,6 +7,7 @@
 #include "frontend/Lexer.h"
 
 #include <cctype>
+#include <cstdlib>
 
 using namespace dra;
 
@@ -80,7 +81,9 @@ bool Lexer::tokenize(std::vector<Token> &Out, std::string &Error) {
       }
       Token T = Make(TokKind::Number, Source.substr(Start, I - Start));
       T.Col = StartCol;
-      T.NumValue = std::stod(T.Text);
+      // strtod, not stod: a literal beyond double's range reads as inf (or
+      // 0) instead of throwing; the parser range-checks what it uses.
+      T.NumValue = std::strtod(T.Text.c_str(), nullptr);
       Out.push_back(std::move(T));
       continue;
     }

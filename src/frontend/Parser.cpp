@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -17,6 +18,14 @@
 using namespace dra;
 
 namespace {
+
+/// Deepest loop nest a program may declare: ivars i0 .. i63. Bounds every
+/// depth the parser reads before it sizes anything by it.
+constexpr uint64_t MaxLoopDepth = 64;
+
+/// Integer literals must have a magnitude below 2^53: from there on the
+/// lexer's double cannot tell neighbouring integers apart.
+constexpr double IntLimit = 9007199254740992.0;
 
 /// Recursive-descent parser state over the token stream.
 class ParserImpl {
@@ -55,14 +64,29 @@ private:
     return true;
   }
 
-  /// Parses "iN" into a depth; returns false if the ident is not an ivar.
-  static bool parseIvarName(const std::string &S, unsigned &Depth) {
+  /// True if \p S spells an induction variable: 'i' and decimal digits.
+  static bool isIvarName(const std::string &S) {
     if (S.size() < 2 || S[0] != 'i')
       return false;
     for (size_t I = 1; I != S.size(); ++I)
       if (!std::isdigit(static_cast<unsigned char>(S[I])))
         return false;
-    Depth = unsigned(std::stoul(S.substr(1)));
+    return true;
+  }
+
+  /// Reads the depth of the ivar token at the cursor (isIvarName holds).
+  /// The depth is bounded before anything is sized by it: a coefficient
+  /// vector holds one entry per enclosing loop.
+  bool ivarDepth(unsigned &Depth) {
+    const std::string &Name = peek().Text;
+    uint64_t D = 0;
+    for (size_t I = 1; I != Name.size() && D <= MaxLoopDepth; ++I)
+      D = D * 10 + uint64_t(Name[I] - '0');
+    if (D >= MaxLoopDepth)
+      return fail("[frontend-loop-depth] induction variable '" + Name +
+                  "' is deeper than the " + std::to_string(MaxLoopDepth) +
+                  "-loop limit");
+    Depth = unsigned(D);
     return true;
   }
 
@@ -70,6 +94,10 @@ private:
     if (!peek().is(TokKind::Number))
       return fail("expected an integer");
     double D = peek().NumValue;
+    // Checked before the cast, which is undefined outside int64_t's range.
+    if (!(std::fabs(D) < IntLimit))
+      return fail("[frontend-int-range] integer '" + peek().Text +
+                  "' is outside (-2^53, 2^53)");
     V = int64_t(D);
     if (double(V) != D)
       return fail("expected an integer, found a decimal number");
@@ -85,9 +113,11 @@ private:
         return false;
       if (peek().is(TokKind::Star)) {
         ++Pos;
-        unsigned Depth = 0;
-        if (!peek().is(TokKind::Ident) || !parseIvarName(peek().Text, Depth))
+        if (!peek().is(TokKind::Ident) || !isIvarName(peek().Text))
           return fail("expected an induction variable after '*'");
+        unsigned Depth = 0;
+        if (!ivarDepth(Depth))
+          return false;
         ++Pos;
         Out = Out + AffineExpr::var(Depth, Sign * C);
         return true;
@@ -96,10 +126,12 @@ private:
       return true;
     }
     if (peek().is(TokKind::Ident)) {
-      unsigned Depth = 0;
-      if (!parseIvarName(peek().Text, Depth))
+      if (!isIvarName(peek().Text))
         return fail("expected an induction variable or number, found '" +
                     peek().Text + "'");
+      unsigned Depth = 0;
+      if (!ivarDepth(Depth))
+        return false;
       ++Pos;
       int64_t Coeff = 1;
       if (peek().is(TokKind::Star)) {
@@ -168,6 +200,9 @@ private:
       ++Pos;
       if (!peek().is(TokKind::Number))
         return fail("expected a compute time after 'compute'");
+      if (!std::isfinite(peek().NumValue))
+        return fail("[frontend-compute-range] compute time '" + peek().Text +
+                    "' is beyond the range of a double");
       ComputeMs = next().NumValue;
     }
     if (!expect(TokKind::LBrace, "'{'"))
@@ -177,9 +212,11 @@ private:
     unsigned Depth = 0;
     while (peek().isIdent("for")) {
       ++Pos;
-      unsigned IvDepth = 0;
-      if (!peek().is(TokKind::Ident) || !parseIvarName(peek().Text, IvDepth))
+      if (!peek().is(TokKind::Ident) || !isIvarName(peek().Text))
         return fail("expected an induction variable after 'for'");
+      unsigned IvDepth = 0;
+      if (!ivarDepth(IvDepth))
+        return false;
       if (IvDepth != Depth)
         return fail("loops must introduce i0, i1, ... in order; expected i" +
                     std::to_string(Depth));

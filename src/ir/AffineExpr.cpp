@@ -88,15 +88,18 @@ std::string AffineExpr::toString() const {
     else if (C < 0)
       S += "-";
     uint64_t A = magnitude(C);
-    if (A != 1)
-      S += std::to_string(A) + "*";
-    S += "i" + std::to_string(K);
+    if (A != 1) {
+      S += std::to_string(A);
+      S += '*';
+    }
+    S += 'i';
+    S += std::to_string(K);
   }
   if (S.empty())
     return std::to_string(Const);
-  if (Const > 0)
-    S += " + " + std::to_string(Const);
-  else if (Const < 0)
-    S += " - " + std::to_string(magnitude(Const));
+  if (Const != 0) {
+    S += Const > 0 ? " + " : " - ";
+    S += std::to_string(magnitude(Const));
+  }
   return S;
 }

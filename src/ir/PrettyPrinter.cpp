@@ -25,8 +25,11 @@ std::string dra::printNest(const Program &P, NestId N) {
   for (const ArrayAccess &A : Nest.accesses()) {
     Out += Indent + (A.Kind == AccessKind::Write ? "write " : "read  ") +
            P.array(A.Array).Name;
-    for (const AffineExpr &S : A.Subscripts)
-      Out += "[" + S.toString() + "]";
+    for (const AffineExpr &S : A.Subscripts) {
+      Out += '[';
+      Out += S.toString();
+      Out += ']';
+    }
     Out += "\n";
   }
   return Out;
@@ -36,8 +39,11 @@ std::string dra::printProgramAsSource(const Program &P) {
   std::string Out = "program " + P.name() + "\n";
   for (const ArrayInfo &A : P.arrays()) {
     Out += "array " + A.Name;
-    for (int64_t D : A.DimsInTiles)
-      Out += "[" + std::to_string(D) + "]";
+    for (int64_t D : A.DimsInTiles) {
+      Out += '[';
+      Out += std::to_string(D);
+      Out += ']';
+    }
     Out += "\n";
   }
   char Buf[64];
@@ -53,8 +59,11 @@ std::string dra::printProgramAsSource(const Program &P) {
     for (const ArrayAccess &A : Nest.accesses()) {
       Out += A.Kind == AccessKind::Write ? "  write " : "  read ";
       Out += P.array(A.Array).Name;
-      for (const AffineExpr &S : A.Subscripts)
-        Out += "[" + S.toString() + "]";
+      for (const AffineExpr &S : A.Subscripts) {
+        Out += '[';
+        Out += S.toString();
+        Out += ']';
+      }
       Out += "\n";
     }
     Out += "}\n";

@@ -8,6 +8,7 @@
 
 #include "obs/IdleGapAnalyzer.h"
 
+#include <charconv>
 #include <cmath>
 #include <set>
 
@@ -74,7 +75,9 @@ static void writeLedgerCategories(JsonWriter &W, const EnergyLedger &L) {
   W.key("idle_by_rpm_j");
   W.beginObject();
   for (const auto &[Rpm, Joules] : L.IdleByRpmJ) {
-    W.key(std::to_string(Rpm));
+    char Buf[16];
+    char *End = std::to_chars(Buf, Buf + sizeof Buf, Rpm).ptr;
+    W.key(std::string_view(Buf, size_t(End - Buf)));
     W.value(Joules);
   }
   W.endObject();

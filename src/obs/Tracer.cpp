@@ -114,17 +114,18 @@ size_t EventTracer::numEvents() const {
 }
 
 std::string EventTracer::renderChromeTrace() const {
-  std::vector<TraceEvent> Snapshot = events();
+  // Rendered under the lock instead of from a copy of every event.
+  std::lock_guard<std::mutex> Lock(Mu);
   JsonWriter W;
   W.beginObject();
   W.key("traceEvents");
   W.beginArray();
-  for (const TraceEvent &E : Snapshot) {
+  for (const TraceEvent &E : Events) {
     W.beginObject();
     W.key("name");
     W.value(E.Name);
     W.key("ph");
-    W.value(std::string(1, E.Phase));
+    W.value(std::string_view(&E.Phase, 1));
     W.key("pid");
     W.value(E.Pid);
     W.key("tid");

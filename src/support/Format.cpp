@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cstdio>
 
 using namespace dra;
@@ -30,12 +31,21 @@ std::string dra::fmtDouble(double Value, int Decimals) {
   return Buf;
 }
 
-std::string dra::fmtExact(double Value) {
-  char Buf[64];
+void dra::appendExact(std::string &Out, double Value) {
   // max_digits10 for IEEE-754 binary64: 17 significant digits always
-  // round-trip text -> double -> text exactly.
-  std::snprintf(Buf, sizeof(Buf), "%.17g", Value);
-  return Buf;
+  // round-trip text -> double -> text exactly. to_chars with an explicit
+  // precision is specified to print as printf("%.*g") in the "C" locale.
+  char Buf[32];
+  std::to_chars_result R = std::to_chars(Buf, Buf + sizeof Buf, Value,
+                                         std::chars_format::general, 17);
+  assert(R.ec == std::errc() && "32 bytes hold any %.17g text");
+  Out.append(Buf, size_t(R.ptr - Buf));
+}
+
+std::string dra::fmtExact(double Value) {
+  std::string Out;
+  appendExact(Out, Value);
+  return Out;
 }
 
 std::string dra::fmtPercent(double Fraction) {

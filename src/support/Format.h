@@ -24,8 +24,14 @@ std::string fmtDouble(double Value, int Decimals = 2);
 
 /// Formats \p Value with max_digits10 significant digits, so reading the
 /// text back recovers the exact double. For machine-consumed writers (CSV
-/// artifacts); human-facing tables keep fmtDouble.
+/// artifacts); human-facing tables keep fmtDouble. The text is exactly
+/// printf("%.17g")'s, non-finite values included ("inf", "-inf", "nan",
+/// "-nan").
 std::string fmtExact(double Value);
+
+/// Appends fmtExact(\p Value) to \p Out without a temporary string. The one
+/// exact-double formatter: fmtExact and the JSON writer both go through it.
+void appendExact(std::string &Out, double Value);
 
 /// Formats \p Value as a percentage with two fractional digits ("18.17%").
 std::string fmtPercent(double Fraction);

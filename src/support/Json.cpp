@@ -5,59 +5,84 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Json.h"
+#include "support/Format.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 using namespace dra;
 
-std::string dra::jsonQuote(const std::string &S) {
-  std::string Out = "\"";
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\b':
-      Out += "\\b";
-      break;
-    case '\f':
-      Out += "\\f";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += char(C);
-      }
-    }
+namespace {
+
+/// Appends the escape sequence of \p C, a byte JSON strings may not carry
+/// raw: '"', '\\' or a control character below 0x20.
+void appendEscape(std::string &Out, unsigned char C) {
+  switch (C) {
+  case '"':
+    Out += "\\\"";
+    return;
+  case '\\':
+    Out += "\\\\";
+    return;
+  case '\b':
+    Out += "\\b";
+    return;
+  case '\f':
+    Out += "\\f";
+    return;
+  case '\n':
+    Out += "\\n";
+    return;
+  case '\r':
+    Out += "\\r";
+    return;
+  case '\t':
+    Out += "\\t";
+    return;
+  default: {
+    static constexpr char Hex[] = "0123456789abcdef";
+    const char U[6] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xf]};
+    Out.append(U, sizeof U);
   }
+  }
+}
+
+/// Appends \p S as a quoted JSON string. Each run of bytes that needs no
+/// escaping goes in with one append, so text without escapes costs a scan
+/// and a single copy.
+void appendQuoted(std::string &Out, std::string_view S) {
   Out += '"';
+  size_t Run = 0;
+  for (size_t I = 0, E = S.size(); I != E; ++I) {
+    unsigned char C = (unsigned char)S[I];
+    if (C != '"' && C != '\\' && C >= 0x20)
+      continue;
+    Out.append(S.data() + Run, I - Run);
+    appendEscape(Out, C);
+    Run = I + 1;
+  }
+  Out.append(S.data() + Run, S.size() - Run);
+  Out += '"';
+}
+
+template <typename Int> void appendInt(std::string &Out, Int V) {
+  char Buf[24];
+  std::to_chars_result R = std::to_chars(Buf, Buf + sizeof Buf, V);
+  Out.append(Buf, size_t(R.ptr - Buf));
+}
+
+} // namespace
+
+std::string dra::jsonQuote(std::string_view S) {
+  std::string Out;
+  appendQuoted(Out, S);
   return Out;
 }
 
 std::string dra::jsonNumber(double V) {
-  if (!std::isfinite(V))
-    return "null";
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  return Buf;
+  return std::isfinite(V) ? fmtExact(V) : "null";
 }
 
 //===----------------------------------------------------------------------===//
@@ -103,7 +128,7 @@ void JsonWriter::endArray() {
   Out += ']';
 }
 
-void JsonWriter::key(const std::string &K) {
+void JsonWriter::key(std::string_view K) {
   assert(!Stack.empty() && Stack.back().InObject && !Stack.back().KeyPending &&
          "key() only valid directly inside an object");
   Frame &F = Stack.back();
@@ -111,30 +136,31 @@ void JsonWriter::key(const std::string &K) {
     Out += ',';
   F.First = false;
   F.KeyPending = true;
-  Out += jsonQuote(K);
+  appendQuoted(Out, K);
   Out += ':';
 }
 
-void JsonWriter::value(const std::string &S) {
+void JsonWriter::value(std::string_view S) {
   prefix();
-  Out += jsonQuote(S);
+  appendQuoted(Out, S);
 }
-
-void JsonWriter::value(const char *S) { value(std::string(S)); }
 
 void JsonWriter::value(double V) {
   prefix();
-  Out += jsonNumber(V);
+  if (std::isfinite(V))
+    appendExact(Out, V);
+  else
+    Out += "null";
 }
 
 void JsonWriter::value(uint64_t V) {
   prefix();
-  Out += std::to_string(V);
+  appendInt(Out, V);
 }
 
 void JsonWriter::value(int64_t V) {
   prefix();
-  Out += std::to_string(V);
+  appendInt(Out, V);
 }
 
 void JsonWriter::value(bool B) {
@@ -147,7 +173,7 @@ void JsonWriter::null() {
   Out += "null";
 }
 
-void JsonWriter::rawValue(const std::string &Json) {
+void JsonWriter::rawValue(std::string_view Json) {
   prefix();
   Out += Json;
 }

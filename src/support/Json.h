@@ -9,7 +9,7 @@
 /// (docs/FORMATS.md): a streaming JsonWriter used by the trace, metrics and
 /// run-report serializers, and a strict recursive-descent parser used by the
 /// round-trip tests. Emitted numbers use enough digits for doubles to
-/// round-trip exactly.
+/// round-trip exactly (the text of printf("%.17g"), see fmtExact).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,19 +19,21 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dra {
 
 /// Escapes and quotes \p S as a JSON string literal (including the quotes).
-std::string jsonQuote(const std::string &S);
+std::string jsonQuote(std::string_view S);
 
 /// Renders \p V as a JSON number. Non-finite values (which JSON cannot
 /// represent) render as null.
 std::string jsonNumber(double V);
 
 /// Incremental JSON document builder with automatic comma/nesting
-/// management. Usage:
+/// management. Keys, strings and numbers go into the document as whole
+/// spans; text needing no escaping is quoted with a single append. Usage:
 /// \code
 ///   JsonWriter W;
 ///   W.beginObject();
@@ -48,10 +50,12 @@ public:
   void endArray();
 
   /// Emits an object key; the next value/beginX call becomes its value.
-  void key(const std::string &K);
+  void key(std::string_view K);
 
-  void value(const std::string &S);
-  void value(const char *S);
+  void value(std::string_view S);
+  /// Keeps string literals off the bool overload (pointer-to-bool is a
+  /// standard conversion, pointer-to-string_view a user-defined one).
+  void value(const char *S) { value(std::string_view(S)); }
   void value(double V);
   void value(uint64_t V);
   void value(int64_t V);
@@ -62,7 +66,7 @@ public:
 
   /// Emits \p Json verbatim as the next value. The caller guarantees it is
   /// one well-formed JSON value (used to splice pre-rendered fragments).
-  void rawValue(const std::string &Json);
+  void rawValue(std::string_view Json);
 
   /// Finishes the document and returns it. The writer must be balanced
   /// (every begin closed).

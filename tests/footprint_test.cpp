@@ -18,6 +18,7 @@
 #include "apps/Apps.h"
 #include "ir/ProgramBuilder.h"
 #include "support/Json.h"
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -463,11 +464,11 @@ Program randomProgram(std::mt19937 &Rng) {
   for (unsigned A = 0; A != NumArrays; ++A) {
     if (Dims[A].empty())
       Dims[A] = {1}; // declared but never referenced
-    Ids.push_back(B.addArray("A" + std::to_string(A), Dims[A]));
+    Ids.push_back(B.addArray(indexed("A", A), Dims[A]));
   }
   for (unsigned N = 0; N != NumNests; ++N) {
     const PendingNest &NS = NestSpecs[N];
-    B.beginNest("n" + std::to_string(N));
+    B.beginNest(indexed("n", N));
     for (unsigned K = 0; K != NS.ConstLo.size(); ++K) {
       if (NS.TriOuter[K] < 0)
         B.loop(NS.ConstLo[K], NS.ConstHi[K]);
@@ -500,7 +501,7 @@ TEST(FootprintTest, RandomizedDifferentialSweep) {
     if (Trial % 2 == 1)
       for (ArrayId A = 0; A != P.arrays().size(); ++A)
         L.setArrayStartDisk(A, (Trial + A) % Factor);
-    checkAllModes(P, L, "trial" + std::to_string(Trial));
+    checkAllModes(P, L, indexed("trial", Trial));
   }
 }
 
@@ -517,7 +518,7 @@ TEST(FootprintTest, RandomizedSweepUnderShrunkenBudgets) {
   for (unsigned Trial = 0; Trial != 25; ++Trial) {
     Program P = randomProgram(Rng);
     DiskLayout L(P, makeConfig(1 + Trial % 5, 0));
-    checkAllModes(P, L, "tiny" + std::to_string(Trial), Tiny);
+    checkAllModes(P, L, indexed("tiny", Trial), Tiny);
   }
 }
 

@@ -9,7 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 using namespace dra;
+
+#ifndef DRA_SOURCE_DIR
+#error "build must define DRA_SOURCE_DIR"
+#endif
 
 namespace {
 
@@ -266,6 +273,54 @@ nest n {
 }
 )");
   EXPECT_NE(E.find("not an enclosing loop"), std::string::npos);
+}
+
+/// examples/programs/stencil.dra with its first `A[i0][i1]` replaced by
+/// \p Access.
+std::string stencilWith(const std::string &Access) {
+  std::ifstream In(std::string(DRA_SOURCE_DIR) +
+                   "/examples/programs/stencil.dra");
+  std::stringstream Src;
+  Src << In.rdbuf();
+  std::string S = Src.str();
+  size_t At = S.find("A[i0][i1]");
+  EXPECT_NE(At, std::string::npos);
+  return S.replace(At, 9, Access);
+}
+
+TEST(ParserTest, HugeIvarDepthIsADiagnostic) {
+  // Once narrowed to unsigned and allocated by (bad_alloc), and beyond 20
+  // digits thrown out of std::stoul (out_of_range).
+  for (const char *Access :
+       {"A[i0][i199999999999]", "A[i0][i1234567890123456789012345]",
+        "A[i0][i64]"}) {
+    std::string E = parseFail(stencilWith(Access));
+    EXPECT_NE(E.find("[frontend-loop-depth]"), std::string::npos) << E;
+  }
+  // i63 is within the limit; the nest just does not bind it.
+  std::string E = parseFail(stencilWith("A[i0][i63]"));
+  EXPECT_NE(E.find("references i63"), std::string::npos) << E;
+}
+
+TEST(ParserTest, OutOfRangeIntegerIsADiagnostic) {
+  // 1e30 (and a literal past double's range) used to be cast to int64_t,
+  // which is undefined; 2^53 + 1 would silently round to 2^53.
+  const std::string Head = "program p\narray A[4]\nnest n ";
+  const std::string Nines(400, '9');
+  for (const char *Bound : {"1000000000000000000000000000000",
+                            "9007199254740993", Nines.c_str()}) {
+    std::string E =
+        parseFail(Head + "{ for i0 = 0 .. " + Bound + " read A[i0] }\n");
+    EXPECT_NE(E.find("[frontend-int-range]"), std::string::npos) << E;
+  }
+  std::string E = parseFail(
+      "program p\narray A[1000000000000000000000000000000]\n"
+      "nest n { for i0 = 0 .. 3 read A[i0] }\n");
+  EXPECT_NE(E.find("[frontend-int-range]"), std::string::npos) << E;
+  // A compute time past double's range once threw out of std::stod.
+  E = parseFail(Head + "compute " + Nines +
+                " { for i0 = 0 .. 3 read A[i0] }\n");
+  EXPECT_NE(E.find("[frontend-compute-range]"), std::string::npos) << E;
 }
 
 TEST(ParserTest, ErrorHasLineAndColumn) {

@@ -29,6 +29,7 @@
 #include "ir/ProgramBuilder.h"
 #include "ir/TileAccessTable.h"
 #include "trace/TraceGenerator.h"
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -50,15 +51,15 @@ Program randomProgram(unsigned Seed) {
 
   int64_t N = Pick(6, 12);
   int Margin = 2;
-  ProgramBuilder B("hot" + std::to_string(Seed));
+  ProgramBuilder B(indexed("hot", Seed));
   int NumArrays = Pick(1, 3);
   std::vector<ArrayId> Arrays;
   for (int A = 0; A != NumArrays; ++A)
-    Arrays.push_back(B.addArray("U" + std::to_string(A), {N, N}));
+    Arrays.push_back(B.addArray(indexed("U", A), {N, N}));
 
   int NumNests = Pick(2, 3);
   for (int K = 0; K != NumNests; ++K) {
-    B.beginNest("n" + std::to_string(K), 0.5 + 0.1 * Pick(0, 10));
+    B.beginNest(indexed("n", K), 0.5 + 0.1 * Pick(0, 10));
     B.loop(Margin, N - Margin).loop(Margin, N - Margin);
     int NumAcc = Pick(1, 3);
     for (int A = 0; A != NumAcc; ++A) {

@@ -20,6 +20,7 @@
 #include "obs/RunReport.h"
 #include "sim/Disk.h"
 #include "verify/EnergyAuditor.h"
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -49,13 +50,13 @@ Program randomProgram(unsigned Seed) {
     return int(Rng() % uint64_t(Hi - Lo + 1)) + Lo;
   };
   int64_t N = Pick(6, 10);
-  ProgramBuilder B("ledger" + std::to_string(Seed));
+  ProgramBuilder B(indexed("ledger", Seed));
   int NumArrays = Pick(1, 2);
   std::vector<ArrayId> Arrays;
   for (int A = 0; A != NumArrays; ++A)
-    Arrays.push_back(B.addArray("U" + std::to_string(A), {N, N}));
+    Arrays.push_back(B.addArray(indexed("U", A), {N, N}));
   for (int K = 0; K != 2; ++K) {
-    B.beginNest("n" + std::to_string(K), 0.5 + 0.1 * Pick(0, 10));
+    B.beginNest(indexed("n", K), 0.5 + 0.1 * Pick(0, 10));
     B.loop(0, N).loop(0, N);
     int NumAcc = Pick(1, 2);
     for (int A = 0; A != NumAcc; ++A)

@@ -19,6 +19,7 @@
 #include "frontend/Parser.h"
 #include "ir/PrettyPrinter.h"
 #include "ir/ProgramBuilder.h"
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -40,15 +41,15 @@ Program randomProgram(unsigned Seed) {
 
   int64_t N = Pick(6, 12);
   int Margin = 2;
-  ProgramBuilder B("rand" + std::to_string(Seed));
+  ProgramBuilder B(indexed("rand", Seed));
   int NumArrays = Pick(1, 3);
   std::vector<ArrayId> Arrays;
   for (int A = 0; A != NumArrays; ++A)
-    Arrays.push_back(B.addArray("U" + std::to_string(A), {N, N}));
+    Arrays.push_back(B.addArray(indexed("U", A), {N, N}));
 
   int NumNests = Pick(2, 3);
   for (int K = 0; K != NumNests; ++K) {
-    B.beginNest("n" + std::to_string(K), 0.5 + 0.1 * Pick(0, 10));
+    B.beginNest(indexed("n", K), 0.5 + 0.1 * Pick(0, 10));
     B.loop(Margin, N - Margin).loop(Margin, N - Margin);
     int NumAcc = Pick(1, 3);
     for (int A = 0; A != NumAcc; ++A) {

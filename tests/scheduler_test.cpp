@@ -6,6 +6,7 @@
 
 #include "core/DiskReuseScheduler.h"
 #include "ir/ProgramBuilder.h"
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -136,7 +137,7 @@ TEST(SchedulerTest, DependentProgramStillValidAndClustered) {
   for (int Step = 0; Step != 3; ++Step) {
     ArrayId Src = Step % 2 == 0 ? A : C2;
     ArrayId Dst = Step % 2 == 0 ? C2 : A;
-    B.beginNest("s" + std::to_string(Step), 1.0)
+    B.beginNest(indexed("s", Step), 1.0)
         .loop(0, N)
         .loop(0, N)
         .read(Src, {iv(0), iv(1)})

@@ -35,6 +35,7 @@
 #include "serve/SessionRunner.h"
 #include "sim/DrpmPolicy.h"
 #include "sim/TpmPolicy.h"
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -62,14 +63,14 @@ Program randomProgram(unsigned Seed) {
   };
   int64_t N = Pick(8, 14);
   int Margin = 2;
-  ProgramBuilder B("tl" + std::to_string(Seed));
+  ProgramBuilder B(indexed("tl", Seed));
   int NumArrays = Pick(1, 3);
   std::vector<ArrayId> Arrays;
   for (int A = 0; A != NumArrays; ++A)
-    Arrays.push_back(B.addArray("U" + std::to_string(A), {N, N}));
+    Arrays.push_back(B.addArray(indexed("U", A), {N, N}));
   int NumNests = Pick(2, 3);
   for (int K = 0; K != NumNests; ++K) {
-    B.beginNest("n" + std::to_string(K), 0.5 + 0.1 * Pick(0, 10));
+    B.beginNest(indexed("n", K), 0.5 + 0.1 * Pick(0, 10));
     B.loop(Margin, N - Margin).loop(Margin, N - Margin);
     int NumAcc = Pick(1, 3);
     for (int A = 0; A != NumAcc; ++A) {

@@ -105,6 +105,7 @@
 #include "obs/CompareReport.h"
 #include "obs/Metrics.h"
 #include "obs/RunReport.h"
+#include "obs/Telemetry.h"
 #include "obs/Timeline.h"
 #include "obs/Tracer.h"
 #include "serve/ServeTelemetry.h"
@@ -830,16 +831,66 @@ int main(int argc, char **argv) {
       }
     }
     std::printf("%s", T.render().c_str());
+    if (!DumpTrace.empty())
+      std::printf("\ntrace of %s written to %s\n", schemeName(Schemes.back()),
+                  DumpTrace.c_str());
+    if (Verify) {
+      const DiagnosticEngine &DE = Pipe.diags();
+      std::fprintf(stderr,
+                   "verification: %llu remarks, %llu warnings, 0 errors\n",
+                   (unsigned long long)DE.count(DiagSeverity::Remark),
+                   (unsigned long long)DE.count(DiagSeverity::Warning));
+    }
+
+    // Each export, render plus write, is timed as pass "export.<artifact>".
+    // The metrics document goes last so it holds the other exports' times.
+    std::vector<std::string> Exported;
+    auto Export = [&](const char *Artifact, const std::string &Path,
+                      const char *What, auto Render) {
+      if (Path.empty())
+        return true;
+      std::string Pass = std::string("export.") + Artifact;
+      bool Ok = false;
+      {
+        PassTimer PT(nullptr, 0, 0, Pass, Cfg.Metrics);
+        Ok = writeFile(Path, Render());
+      }
+      if (!Ok)
+        std::fprintf(stderr, "error: cannot write %s to '%s'\n", What,
+                     Path.c_str());
+      Exported.push_back(std::move(Pass));
+      return Ok;
+    };
+    if (!Export("report", ReportJson, "report",
+                [&] { return renderRunReportJson(Cfg, {App}, "drac"); }) ||
+        !Export("ledger", LedgerJson, "ledger",
+                [&] { return renderLedgerReportJson(Cfg, {App}, "drac"); }) ||
+        !Export("attrib", AttribJson, "attribution",
+                [&] { return renderAttribReportJson(Cfg, {App}, "drac"); }) ||
+        !Export("flame", FlameOut, "flame stacks",
+                [&] { return renderAttribFlame({App}); }) ||
+        !Export("footprint", FootprintJson, "footprint",
+                [&] { return App.FootprintJson; }) ||
+        !Export("timeline", TimelineJson, "timeline",
+                [&] { return renderTimelineJson(Timeline, "drac"); }) ||
+        !Export("trace", TraceJson, "trace",
+                [&] { return Tracer.renderChromeTrace(); }) ||
+        !Export("metrics", MetricsJson, "metrics",
+                [&] { return Metrics.renderJson(); }))
+      return 1;
+
     if (Timings) {
-      // Stable pass order (pipeline execution order), so runs diff
-      // cleanly; the same histograms back the JSON exports.
+      // Every layer the run executed, in pipeline execution order so runs
+      // diff cleanly; the same histograms back the JSON exports.
+      std::vector<std::string> Passes = {
+          "verify-ir", "iteration-space", "tile-access-table", "disk-layout",
+          "symbolic-footprint", "dependence-graph", "scheduler-init",
+          "verify-layout", "verify-footprint", "parallelize", "restructure",
+          "verify-schedule", "compile", "trace-gen", "simulate"};
+      Passes.insert(Passes.end(), Exported.begin(), Exported.end());
       TextTable TT({"Pass", "Runs", "Total (ms)", "Mean (ms)"});
-      for (const char *Pass :
-           {"iteration-space", "tile-access-table", "disk-layout",
-            "symbolic-footprint", "dependence-graph", "scheduler-init",
-            "parallelize", "restructure", "compile"}) {
-        const Histogram *H =
-            Metrics.findHistogram(std::string("pass.") + Pass + ".wall_ms");
+      for (const std::string &Pass : Passes) {
+        const Histogram *H = Metrics.findHistogram("pass." + Pass + ".wall_ms");
         if (!H)
           continue;
         RunningStats S = H->stats();
@@ -859,62 +910,6 @@ int main(int argc, char **argv) {
                     fmtGrouped(Rounds->value()).c_str(),
                     Depth ? fmtDouble(Depth->stats().mean(), 1).c_str()
                           : "n/a");
-    }
-    if (!DumpTrace.empty())
-      std::printf("\ntrace of %s written to %s\n", schemeName(Schemes.back()),
-                  DumpTrace.c_str());
-    if (Verify) {
-      const DiagnosticEngine &DE = Pipe.diags();
-      std::fprintf(stderr,
-                   "verification: %llu remarks, %llu warnings, 0 errors\n",
-                   (unsigned long long)DE.count(DiagSeverity::Remark),
-                   (unsigned long long)DE.count(DiagSeverity::Warning));
-    }
-
-    if (!TraceJson.empty() &&
-        !writeFile(TraceJson, Tracer.renderChromeTrace())) {
-      std::fprintf(stderr, "error: cannot write trace to '%s'\n",
-                   TraceJson.c_str());
-      return 1;
-    }
-    if (!MetricsJson.empty() && !writeFile(MetricsJson, Metrics.renderJson())) {
-      std::fprintf(stderr, "error: cannot write metrics to '%s'\n",
-                   MetricsJson.c_str());
-      return 1;
-    }
-    if (!ReportJson.empty() &&
-        !writeFile(ReportJson, renderRunReportJson(Cfg, {App}, "drac"))) {
-      std::fprintf(stderr, "error: cannot write report to '%s'\n",
-                   ReportJson.c_str());
-      return 1;
-    }
-    if (!LedgerJson.empty() &&
-        !writeFile(LedgerJson, renderLedgerReportJson(Cfg, {App}, "drac"))) {
-      std::fprintf(stderr, "error: cannot write ledger to '%s'\n",
-                   LedgerJson.c_str());
-      return 1;
-    }
-    if (!AttribJson.empty() &&
-        !writeFile(AttribJson, renderAttribReportJson(Cfg, {App}, "drac"))) {
-      std::fprintf(stderr, "error: cannot write attribution to '%s'\n",
-                   AttribJson.c_str());
-      return 1;
-    }
-    if (!FlameOut.empty() && !writeFile(FlameOut, renderAttribFlame({App}))) {
-      std::fprintf(stderr, "error: cannot write flame stacks to '%s'\n",
-                   FlameOut.c_str());
-      return 1;
-    }
-    if (!FootprintJson.empty() && !writeFile(FootprintJson, App.FootprintJson)) {
-      std::fprintf(stderr, "error: cannot write footprint to '%s'\n",
-                   FootprintJson.c_str());
-      return 1;
-    }
-    if (!TimelineJson.empty() &&
-        !writeFile(TimelineJson, renderTimelineJson(Timeline, "drac"))) {
-      std::fprintf(stderr, "error: cannot write timeline to '%s'\n",
-                   TimelineJson.c_str());
-      return 1;
     }
   } catch (const VerificationError &E) {
     std::fprintf(stderr, "drac: %s\n", E.what());
