@@ -6,8 +6,6 @@
 
 #include "core/EnergyEstimator.h"
 #include "analysis/SymbolicFootprint.h"
-#include "sim/DrpmPolicy.h"
-#include "sim/TpmPolicy.h"
 
 #include <cassert>
 
@@ -18,8 +16,8 @@ EnergyEstimator::EnergyEstimator(const Program &P, const IterationSpace &Space,
                                  const DiskParams &Params,
                                  PowerPolicyKind Policy,
                                  const TileAccessTable *Table)
-    : Prog(P), Space(Space), Layout(Layout), Params(Params), PM(this->Params),
-      Policy(Policy), Table(Table) {
+    : Prog(P), Space(Space), Layout(Layout), Model(Params, Policy),
+      Table(Table) {
   assert(!Table || Table->numIters() == Space.size());
 }
 
@@ -28,29 +26,16 @@ EnergyEstimate EnergyEstimator::estimate(const Schedule &S) const {
   EnergyEstimate E;
   E.PerDiskEnergyJ.assign(D, 0.0);
 
-  TpmPolicy Tpm(PM);
-  DrpmPolicy Drpm(PM);
-
   std::vector<double> BusyEnd(D, 0.0);
-  std::vector<unsigned> Rpm(D, Params.MaxRpm);
+  std::vector<unsigned> Rpm(D, Model.params().MaxRpm);
   double Clock = 0.0;
   std::vector<TileAccess> Touched;
 
+  // Gaps go through the simulator's own policy evaluation; with no queue
+  // and no DRPM controller here, no step-down is ever pending.
   auto AccountGap = [&](unsigned Disk, double GapMs, bool RequestArrives) {
-    IdleOutcome O;
-    switch (Policy) {
-    case PowerPolicyKind::None:
-      O.GapEnergyJ = Params.IdlePowerW * GapMs / 1000.0;
-      O.EndRpm = Rpm[Disk];
-      break;
-    case PowerPolicyKind::Tpm:
-      O = Tpm.evaluateIdle(GapMs, RequestArrives);
-      break;
-    case PowerPolicyKind::Drpm:
-      O = Drpm.evaluateIdle(GapMs, Rpm[Disk], Rpm[Disk],
-                            Params.DrpmProactiveHints && RequestArrives);
-      break;
-    }
+    IdleOutcome O = Model.evaluateGap(GapMs, Rpm[Disk], Rpm[Disk],
+                                      RequestArrives, /*WantSegments=*/false);
     E.PerDiskEnergyJ[Disk] += O.GapEnergyJ + O.ReadyEnergyJ;
     E.SpinDowns += O.SpinDowns;
     E.RpmSteps += O.RpmSteps;
@@ -81,8 +66,9 @@ EnergyEstimate EnergyEstimator::estimate(const Schedule &S) const {
       // request can land while the disk finishes a previous tile of the
       // same iteration.
       double Svc =
-          PM.serviceMs(Layout.tileBytes(), Rpm[Disk], /*Sequential=*/false);
-      E.PerDiskEnergyJ[Disk] += PM.activePowerW(Rpm[Disk]) * Svc / 1000.0;
+          Model.serviceMs(Layout.tileBytes(), Rpm[Disk], /*Sequential=*/false);
+      E.PerDiskEnergyJ[Disk] +=
+          Model.power().activePowerW(Rpm[Disk]) * Svc / 1000.0;
       E.IoTimeMs += Svc;
       BusyEnd[Disk] = Start + Svc;
       Clock = BusyEnd[Disk];
@@ -103,7 +89,8 @@ EnergyEstimate EnergyEstimator::footprintBound(const Program &P,
                                                const DiskLayout &Layout,
                                                const DiskParams &Params,
                                                const SymbolicFootprint &FP) {
-  PowerModel PM(Params);
+  DiskTimingModel Model(Params, PowerPolicyKind::None);
+  const PowerModel &PM = Model.power();
   unsigned D = Layout.numDisks();
   EnergyEstimate E;
   E.PerDiskEnergyJ.assign(D, 0.0);
@@ -115,8 +102,8 @@ EnergyEstimate EnergyEstimator::footprintBound(const Program &P,
 
   // One full-speed fetch per demanded tile, serialized by the single
   // issuing processor (the estimator's machine model).
-  double Svc = PM.serviceMs(Layout.tileBytes(), Params.MaxRpm,
-                            /*Sequential=*/false);
+  double Svc = Model.serviceMs(Layout.tileBytes(), Params.MaxRpm,
+                               /*Sequential=*/false);
   std::vector<uint64_t> Demand = FP.totalPerDiskDemand();
   assert(Demand.size() == D && "footprint built for another layout");
   for (unsigned Disk = 0; Disk != D; ++Disk)

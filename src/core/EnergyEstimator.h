@@ -9,8 +9,8 @@
 /// consume — no event simulation, no queueing. The estimator walks a
 /// single-processor schedule once, maintaining a nominal clock (think times
 /// + full-speed service times) and per-disk last-busy marks, and evaluates
-/// every idle gap with the same pure policy formulas the simulator uses
-/// (TpmPolicy / DrpmPolicy idle evaluation).
+/// every idle gap with the simulator's own gap evaluator
+/// (DiskTimingModel::evaluateGap).
 ///
 /// This is the cost model a "unified optimizer" needs (the paper's future
 /// work, Sec. 8): fast enough to rank many candidate layouts, and within a
@@ -22,8 +22,7 @@
 #define DRA_CORE_ENERGYESTIMATOR_H
 
 #include "core/Schedule.h"
-#include "sim/DiskParams.h"
-#include "sim/PowerModel.h"
+#include "sim/Disk.h"
 
 #include <vector>
 
@@ -74,9 +73,8 @@ private:
   const Program &Prog;
   const IterationSpace &Space;
   const DiskLayout &Layout;
-  DiskParams Params;
-  PowerModel PM;
-  PowerPolicyKind Policy;
+  /// Gap evaluation and service times; its own clock is unused.
+  DiskTimingModel Model;
   const TileAccessTable *Table;
 };
 

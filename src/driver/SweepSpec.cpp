@@ -30,15 +30,13 @@ bool intAxis(DiagnosticEngine &DE, const std::string &Key, const JsonValue &V,
     return fail(DE, "empty-axis", "'" + Key + "' must name at least one value");
   Out.clear();
   for (const JsonValue &E : V.Arr) {
-    if (!E.isNumber() || E.Num != double(uint64_t(E.Num)))
-      return fail(DE, "wrong-type",
-                  "'" + Key + "' entries must be non-negative integers");
-    uint64_t U = uint64_t(E.Num);
-    if (U < Lo || U > Hi)
+    uint64_t U = 0;
+    if (!isJsonInteger(E))
+      return fail(DE, "wrong-type", "'" + Key + "' entries must be integers");
+    if (!jsonUnsigned(E, U, Lo, Hi))
       return fail(DE, "out-of-range",
-                  "'" + Key + "' value " + std::to_string(U) +
-                      " outside [" + std::to_string(Lo) + ", " +
-                      std::to_string(Hi) + "]");
+                  "'" + Key + "' value " + jsonNumber(E.Num) + " outside [" +
+                      std::to_string(Lo) + ", " + std::to_string(Hi) + "]");
     Out.push_back(T(U));
   }
   return true;
@@ -214,21 +212,17 @@ std::optional<SweepSpec> SweepSpec::parse(const std::string &JsonText,
       Ok = fail(DE, "unknown-cache-policy",
                 "'cache_policy' must be \"lru\" or \"pa-lru\"");
   }
-  if (const JsonValue *V = Doc.find("block_bytes")) {
-    if (!V->isNumber() || V->Num != double(uint64_t(V->Num)) ||
-        uint64_t(V->Num) < 512 || uint64_t(V->Num) > (uint64_t(1) << 30))
+  if (const JsonValue *V = Doc.find("block_bytes"))
+    if (!jsonUnsigned(*V, Spec.BlockBytes, 512, uint64_t(1) << 30))
       Ok = fail(DE, "out-of-range",
                 "'block_bytes' must be one integer in [512, 2^30]");
-    else
-      Spec.BlockBytes = uint64_t(V->Num);
-  }
   if (const JsonValue *V = Doc.find("sim_shards")) {
-    if (!V->isNumber() || V->Num != double(uint64_t(V->Num)) ||
-        uint64_t(V->Num) > 256)
+    uint64_t U = 0;
+    if (!jsonUnsigned(*V, U, 0, 256))
       Ok = fail(DE, "out-of-range",
                 "'sim_shards' must be one integer in [0, 256]");
     else
-      Spec.SimShards = unsigned(V->Num);
+      Spec.SimShards = unsigned(U);
   }
   if (const JsonValue *V = Doc.find("verify")) {
     if (V->isString() && V->Str == "off")

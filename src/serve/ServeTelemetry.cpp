@@ -210,11 +210,10 @@ bool dra::parseSloSpec(const std::string &Text, SloSpec &Out,
   }
   Out = SloSpec();
   if (const JsonValue *W = Doc.find("window_ticks")) {
-    if (!W->isNumber() || W->Num < 0 || W->Num != std::floor(W->Num)) {
-      Error = "\"window_ticks\" must be a non-negative integer";
+    if (!jsonUnsigned(*W, Out.WindowTicks)) {
+      Error = "\"window_ticks\" must be an integer in [0, 2^64)";
       return false;
     }
-    Out.WindowTicks = uint64_t(W->Num);
   }
   const JsonValue *Rules = Doc.find("slos");
   if (!Rules || !Rules->isArray() || Rules->Arr.empty()) {

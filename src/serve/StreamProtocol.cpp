@@ -8,7 +8,6 @@
 
 #include "support/Json.h"
 
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 
@@ -47,15 +46,6 @@ private:
   DiagnosticEngine &DE;
 };
 
-/// A JSON number that must be a non-negative integer fitting uint64.
-bool asU64(const JsonValue &V, uint64_t &Out) {
-  if (!V.isNumber() || !std::isfinite(V.Num) || V.Num < 0.0 ||
-      V.Num != std::floor(V.Num) || V.Num > 1.8e19)
-    return false;
-  Out = uint64_t(V.Num);
-  return true;
-}
-
 bool opByName(const std::string &Name, StreamOp &Out) {
   for (StreamOp Op : {StreamOp::Exec, StreamOp::Write, StreamOp::Read,
                       StreamOp::Delete}) {
@@ -79,7 +69,7 @@ bool parseRequest(const JsonValue &R, size_t Tick, size_t Index, Ctx &C,
                   Where + ": 'op' must be one of exec, write, read, delete");
   if (const JsonValue *Client = R.find("client")) {
     uint64_t Id = 0;
-    if (!asU64(*Client, Id) || Id > 0xffffffffu)
+    if (!jsonUnsigned(*Client, Id, 0, 0xffffffffu))
       return C.fail("stream-bad-client",
                     Where + ": 'client' must be a 32-bit unsigned integer");
     Out.Client = uint32_t(Id);
@@ -87,10 +77,10 @@ bool parseRequest(const JsonValue &R, size_t Tick, size_t Index, Ctx &C,
   if (Out.Op == StreamOp::Exec) {
     const JsonValue *First = R.find("first");
     const JsonValue *Count = R.find("count");
-    if (!First || !asU64(*First, Out.First))
+    if (!First || !jsonUnsigned(*First, Out.First))
       return C.fail("stream-exec-range",
                     Where + ": exec needs a non-negative integer 'first'");
-    if (!Count || !asU64(*Count, Out.Count) || Out.Count == 0)
+    if (!Count || !jsonUnsigned(*Count, Out.Count, 1))
       return C.fail("stream-exec-range",
                     Where + ": exec needs a positive integer 'count'");
     if (Out.First + Out.Count < Out.First)
@@ -111,7 +101,7 @@ bool parseRequest(const JsonValue &R, size_t Tick, size_t Index, Ctx &C,
                   Where + ": object ops take no 'first' or 'count'");
   if (Out.Op == StreamOp::Write) {
     const JsonValue *Tiles = R.find("tiles");
-    if (!Tiles || !asU64(*Tiles, Out.Tiles) || Out.Tiles == 0)
+    if (!Tiles || !jsonUnsigned(*Tiles, Out.Tiles, 1))
       return C.fail("stream-bad-object",
                     Where + ": write needs a positive integer 'tiles'");
   } else if (R.find("tiles")) {
@@ -134,22 +124,22 @@ bool parseConfig(const JsonValue &Doc, Ctx &C, StreamSessionConfig &Out) {
         return C.fail("stream-bad-config", "'scheme' must be a string");
       Out.SchemeName = Val.Str;
     } else if (Key == "stripe_factor") {
-      if (!asU64(Val, U) || U == 0 || U > 64)
+      if (!jsonUnsigned(Val, U, 1, 64))
         return C.fail("stream-bad-config",
                       "'stripe_factor' must be an integer in [1, 64]");
       Out.StripeFactor = unsigned(U);
     } else if (Key == "stripe_unit_kb") {
-      if (!asU64(Val, U) || U == 0 || U > (1u << 20))
+      if (!jsonUnsigned(Val, U, 1, 1u << 20))
         return C.fail("stream-bad-config",
                       "'stripe_unit_kb' must be an integer in [1, 2^20]");
       Out.StripeUnitKb = U;
     } else if (Key == "tick_budget") {
-      if (!asU64(Val, U))
+      if (!jsonUnsigned(Val, U))
         return C.fail("stream-bad-config",
                       "'tick_budget' must be a non-negative integer");
       Out.TickBudget = U;
     } else if (Key == "scratch_tiles") {
-      if (!asU64(Val, U) || U > (uint64_t(1) << 32))
+      if (!jsonUnsigned(Val, U, 0, uint64_t(1) << 32))
         return C.fail("stream-bad-config",
                       "'scratch_tiles' must be an integer in [0, 2^32]");
       Out.ScratchTiles = U;
@@ -246,7 +236,7 @@ dra::parseStreamSession(const std::string &Text, DiagnosticEngine &DE,
     }
     StreamFrame Frame;
     const JsonValue *Tick = F.find("tick");
-    if (!Tick || !asU64(*Tick, Frame.Tick)) {
+    if (!Tick || !jsonUnsigned(*Tick, Frame.Tick)) {
       C.fail("stream-bad-frame",
              Where + ": 'tick' must be a non-negative integer");
       return std::nullopt;

@@ -12,7 +12,9 @@
 /// one CompletionBatch per destination shard and delivers whole batches at
 /// conservative window edges. Each event carries everything the shard's
 /// full Disk replay needs — and the coordinator's own expected completion
-/// time, which the shard cross-checks bit-for-bit after replaying.
+/// time. Coordinator and shard run the same DiskTimingModel, so the
+/// shard's bit-for-bit cross-check after replaying guards the delivery
+/// order: a disk whose fragments arrive reordered computes other times.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +33,8 @@ namespace dra {
 struct FragmentEvent {
   double ArrivalMs = 0.0;
   /// The coordinator's DiskTimingModel completion for this fragment; the
-  /// owning shard's Disk::submit must reproduce it exactly.
+  /// owning shard's Disk::submit must reproduce it exactly (it runs the
+  /// same model on the same per-disk fragment order).
   double ExpectedCompletionMs = 0.0;
   uint64_t Offset = 0; ///< Disk-local byte offset.
   uint64_t Bytes = 0;

@@ -6,8 +6,6 @@
 
 #include "sim/Disk.h"
 
-#include "sim/ReplayCore.h" // SeqWindowBytes (shared with DiskTimingModel).
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -19,37 +17,36 @@ using namespace dra;
 /// simulated milliseconds directly.
 static double simUs(double Ms) { return Ms * 1000.0; }
 
-Disk::Disk(unsigned Id, const DiskParams &Params, PowerPolicyKind Policy,
-           EventTracer *Trace, uint64_t TracePid, bool Attribution,
-           TimelineRecorder *Timeline)
-    : Id(Id), Params(Params), PM(this->Params), Policy(Policy), Tpm(PM),
-      Drpm(PM), Rpm(Params.MaxRpm), PendingRpm(Params.MaxRpm), Trace(Trace),
-      TracePid(TracePid), Attribution(Attribution), TL(Timeline) {}
-
-IdleOutcome Disk::evaluateGap(double GapMs, bool RequestArrives) const {
-  // Gap segments feed only the timeline recorder; the default path stays
-  // allocation-free.
-  bool WantSegments = TL != nullptr;
+IdleOutcome DiskTimingModel::evaluateGap(double GapMs, unsigned StartRpm,
+                                         unsigned PendingRpm,
+                                         bool RequestArrives,
+                                         bool WantSegments) const {
   switch (Policy) {
   case PowerPolicyKind::None: {
     IdleOutcome O;
-    O.GapEnergyJ = Params.IdlePowerW * GapMs / 1000.0;
-    O.IdleByRpmJ[Rpm] = O.GapEnergyJ;
-    O.EndRpm = Rpm;
+    O.GapEnergyJ = params().IdlePowerW * GapMs / 1000.0;
+    O.IdleByRpmJ[StartRpm] = O.GapEnergyJ;
+    O.EndRpm = StartRpm;
     if (WantSegments)
-      O.Segments.push_back({GapPhase::Idle, Rpm, GapMs, O.GapEnergyJ});
+      O.Segments.push_back({GapPhase::Idle, StartRpm, GapMs, O.GapEnergyJ});
     return O;
   }
   case PowerPolicyKind::Tpm:
     return Tpm.evaluateIdle(GapMs, RequestArrives, WantSegments);
   case PowerPolicyKind::Drpm:
-    return Drpm.evaluateIdle(GapMs, Rpm, PendingRpm,
-                             Params.DrpmProactiveHints && RequestArrives,
+    return Drpm.evaluateIdle(GapMs, StartRpm, PendingRpm,
+                             params().DrpmProactiveHints && RequestArrives,
                              WantSegments);
   }
   assert(false && "unknown policy kind");
   return IdleOutcome();
 }
+
+Disk::Disk(unsigned Id, const DiskParams &Params, PowerPolicyKind Policy,
+           EventTracer *Trace, uint64_t TracePid, bool Attribution,
+           TimelineRecorder *Timeline)
+    : Id(Id), Model(Params, Policy), Trace(Trace), TracePid(TracePid),
+      Attribution(Attribution), TL(Timeline) {}
 
 void Disk::flushGapAccum(GapAccum &GA) {
   // Halving is exact in IEEE-754 (scaling by a power of two), so the two
@@ -168,6 +165,7 @@ void Disk::accountGap(const IdleOutcome &O, double GapMs, AttribEntry *NextE,
   // Classify the gap against the TPM break-even time (Sec. 3). Full-speed
   // idle joules inside sub-break-even gaps are the missed opportunity:
   // gaps too short for any reactive policy to exploit.
+  const DiskParams &Params = Model.params();
   double BreakEvenMs = Params.TpmBreakEvenS * 1000.0;
   if (GapMs < BreakEvenMs) {
     ++S.GapsBelowBreakEven;
@@ -193,7 +191,7 @@ void Disk::traceGap(double GapStartMs, double GapMs,
   // DRPM steps (OBSERVABILITY.md); the *counts* match DiskStats exactly.
   for (unsigned I = 0; I != O.SpinDowns; ++I) {
     double AtMs =
-        GapStartMs + std::min(Params.TpmBreakEvenS * 1000.0, GapMs);
+        GapStartMs + std::min(Model.params().TpmBreakEvenS * 1000.0, GapMs);
     Trace->instantEvent(TracePid, Tid, "spin-down", "disk", simUs(AtMs));
   }
   for (unsigned I = 0; I != O.SpinUps; ++I)
@@ -209,10 +207,6 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
                     bool IsWrite, Provenance Prov) {
   // Reads and writes share the timing and power model; IsWrite selects
   // the ledger's active-energy category and names the traced span.
-  assert(!Finalized && "submit after finalize");
-  assert(ArrivalMs + 1e-9 >= LastArrivalMs &&
-         "requests must arrive in non-decreasing time order");
-  LastArrivalMs = ArrivalMs;
   // Resolve the request's attribution entry once; both the gap it ends
   // (as the "next" bound) and its own service charges go through it. The
   // slot's fields are copied out because accountGap's warm-up path may
@@ -225,38 +219,30 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
     EMix = KS.Mix;
   }
 
-  double ServiceStart = std::max(ArrivalMs, BusyUntilMs);
-  double GapMs = ServiceStart - BusyUntilMs;
-  double ReadyDelayMs = 0.0;
-  if (GapMs > 0) {
-    double GapStartMs = BusyUntilMs;
-    IdleOutcome O = evaluateGap(GapMs, /*RequestArrives=*/true);
-    accountGap(O, GapMs, E, EMix);
-    ReadyDelayMs = O.ReadyDelayMs;
-    if (Trace) {
-      traceGap(GapStartMs, GapMs, O);
-      if (O.ReadyDelayMs > 0)
-        Trace->completeEvent(TracePid, Id + 1, "wake", "disk",
-                             simUs(ServiceStart), simUs(O.ReadyDelayMs));
-    }
-    if (TL)
-      TL->recordGap(Id, GapStartMs, GapMs, O, Params.MaxRpm,
-                    Params.TpmBreakEvenS * 1000.0);
-    Rpm = O.EndRpm;
-    PendingRpm = Rpm; // Any deferred step-down has now been honored.
-    ServiceStart += O.ReadyDelayMs;
-  }
+  // Gap segments feed only the timeline recorder; the default path stays
+  // allocation-free.
+  const ServiceSpan Sp = Model.submit(
+      ArrivalMs, Offset, Bytes, /*WantSegments=*/TL != nullptr,
+      [&](double GapStartMs, double GapMs, const IdleOutcome &O) {
+        accountGap(O, GapMs, E, EMix);
+        if (Trace) {
+          traceGap(GapStartMs, GapMs, O);
+          if (O.ReadyDelayMs > 0) // A gap ends at the arrival.
+            Trace->completeEvent(TracePid, Id + 1, "wake", "disk",
+                                 simUs(ArrivalMs), simUs(O.ReadyDelayMs));
+        }
+        if (TL)
+          recordGap(GapStartMs, GapMs, O);
+      });
 
-  bool Sequential = HasLastOffset && Offset >= LastEndOffset &&
-                    Offset - LastEndOffset <= SeqWindowBytes;
-  double Svc = PM.serviceMs(Bytes, Rpm, Sequential);
-  double SvcJ = PM.activePowerW(Rpm) * Svc / 1000.0;
+  const PowerModel &PM = Model.power();
+  double SvcJ = PM.activePowerW(Sp.Rpm) * Sp.ServiceMs / 1000.0;
   S.EnergyJ += SvcJ;
-  S.BusyMs += Svc;
+  S.BusyMs += Sp.ServiceMs;
   ++S.NumRequests;
   if (TL) {
-    TL->recordQueueWait(Id, ArrivalMs, ServiceStart);
-    TL->recordService(Id, ServiceStart, Svc, SvcJ, IsWrite, Bytes);
+    TL->recordQueueWait(Id, ArrivalMs, Sp.StartMs);
+    TL->recordService(Id, Sp.StartMs, Sp.ServiceMs, SvcJ, IsWrite, Bytes);
   }
 
   if (!Attribution) {
@@ -264,9 +250,9 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
   } else {
     // Service charges go to the entry; finalize() folds it into S.Ledger.
     (IsWrite ? E->Energy.ActiveWriteJ : E->Energy.ActiveReadJ) += SvcJ;
-    E->BusyMs += Svc;
-    if (ReadyDelayMs != 0.0)
-      E->ReadyDelayMs += ReadyDelayMs;
+    E->BusyMs += Sp.ServiceMs;
+    if (Sp.ReadyDelayMs != 0.0)
+      E->ReadyDelayMs += Sp.ReadyDelayMs;
     ++E->NumRequests;
     LastE = E;
     LastMix = EMix;
@@ -274,8 +260,8 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
 
   if (Trace) {
     std::vector<TraceArg> Args = {
-        TraceArg::num("bytes", Bytes), TraceArg::num("rpm", uint64_t(Rpm)),
-        TraceArg::num("queue_ms", ServiceStart - ArrivalMs)};
+        TraceArg::num("bytes", Bytes), TraceArg::num("rpm", uint64_t(Sp.Rpm)),
+        TraceArg::num("queue_ms", Sp.StartMs - ArrivalMs)};
     if (Prov.valid()) {
       // Attribution args (docs/FORMATS.md dra-trace-chrome-v2): which
       // compiler construct this service span belongs to.
@@ -284,72 +270,55 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
       Args.push_back(TraceArg::num("round", uint64_t(Prov.Round)));
     }
     Trace->completeEvent(TracePid, Id + 1, IsWrite ? "write" : "read", "disk",
-                         simUs(ServiceStart), simUs(Svc), std::move(Args));
+                         simUs(Sp.StartMs), simUs(Sp.ServiceMs),
+                         std::move(Args));
   }
 
-  BusyUntilMs = ServiceStart + Svc;
-  double Completion = BusyUntilMs;
-  S.ResponseSumMs += Completion - ArrivalMs;
-  LastEndOffset = Offset + Bytes;
-  HasLastOffset = true;
+  S.ResponseSumMs += Sp.CompletionMs - ArrivalMs;
 
-  if (Policy == PowerPolicyKind::Drpm) {
-    unsigned Cmd = Drpm.onRequestServiced(Completion - ArrivalMs, Bytes, Rpm);
-    if (Cmd > Rpm) {
-      // Emergency ramp-up: the speed change occupies the disk; later
-      // arrivals queue behind it.
-      unsigned Levels = (Cmd - Rpm) / Params.RpmStep;
-      double RampJ = PM.rpmTransitionJ(Rpm, Cmd);
-      S.EnergyJ += RampJ;
-      if (E)
-        E->Energy.RpmStepJ += RampJ; // Ramp caused by the serviced request.
-      else
-        S.Ledger.RpmStepJ += RampJ;
-      if (Trace)
-        for (unsigned L = 0; L != Levels; ++L)
-          Trace->instantEvent(
-              TracePid, Id + 1, "rpm-step", "disk",
-              simUs(BusyUntilMs + Params.RpmStepTransitionS * 1000.0 * (L + 1)));
-      if (TL)
-        TL->recordRamp(Id, BusyUntilMs, PM.rpmTransitionMs(Levels), RampJ);
-      BusyUntilMs += PM.rpmTransitionMs(Levels);
-      S.RpmSteps += Levels;
-      Rpm = Cmd;
-      PendingRpm = Rpm;
-    } else if (Cmd < Rpm) {
-      // Step-down: deferred until the disk is next idle.
-      PendingRpm = Cmd;
-    }
+  if (Sp.RampLevels != 0) {
+    double RampJ = PM.rpmTransitionJ(Sp.Rpm, Model.currentRpm());
+    S.EnergyJ += RampJ;
+    if (E)
+      E->Energy.RpmStepJ += RampJ; // Ramp caused by the serviced request.
+    else
+      S.Ledger.RpmStepJ += RampJ;
+    if (Trace)
+      for (unsigned L = 0; L != Sp.RampLevels; ++L)
+        Trace->instantEvent(TracePid, Id + 1, "rpm-step", "disk",
+                            simUs(Sp.CompletionMs +
+                                  Model.params().RpmStepTransitionS * 1000.0 *
+                                      (L + 1)));
+    if (TL)
+      TL->recordRamp(Id, Sp.CompletionMs, Sp.RampMs, RampJ);
+    S.RpmSteps += Sp.RampLevels;
   }
-  return Completion;
+  return Sp.CompletionMs;
+}
+
+void Disk::recordGap(double GapStartMs, double GapMs, const IdleOutcome &O) {
+  TL->recordGap(Id, GapStartMs, GapMs, O, Model.params().MaxRpm,
+                Model.params().TpmBreakEvenS * 1000.0);
 }
 
 void Disk::finalize(double EndMs) {
-  assert(!Finalized && "finalize called twice");
-  Finalized = true;
-  if (EndMs > BusyUntilMs) {
-    double GapMs = EndMs - BusyUntilMs;
-    double GapStartMs = BusyUntilMs;
-    // The tail gap has no ending request: its successor half is charged
-    // to the unattributed key.
-    IdleOutcome O = evaluateGap(GapMs, /*RequestArrives=*/false);
-    AttribEntry *TailE = nullptr;
-    uint32_t TailMix = 0;
-    if (Attribution) {
-      const KeySlot &KS = slotFor(AttribKey());
-      TailE = KS.Entry;
-      TailMix = KS.Mix;
-    }
-    accountGap(O, GapMs, TailE, TailMix);
-    if (Trace)
-      traceGap(GapStartMs, GapMs, O);
-    if (TL)
-      TL->recordGap(Id, GapStartMs, GapMs, O, Params.MaxRpm,
-                    Params.TpmBreakEvenS * 1000.0);
-    Rpm = O.EndRpm;
-    PendingRpm = Rpm;
-    BusyUntilMs = EndMs;
-  }
+  // The tail gap has no ending request: its successor half is charged to
+  // the unattributed key.
+  Model.finalize(EndMs, /*WantSegments=*/TL != nullptr,
+                 [&](double GapStartMs, double GapMs, const IdleOutcome &O) {
+                   AttribEntry *TailE = nullptr;
+                   uint32_t TailMix = 0;
+                   if (Attribution) {
+                     const KeySlot &KS = slotFor(AttribKey());
+                     TailE = KS.Entry;
+                     TailMix = KS.Mix;
+                   }
+                   accountGap(O, GapMs, TailE, TailMix);
+                   if (Trace)
+                     traceGap(GapStartMs, GapMs, O);
+                   if (TL)
+                     recordGap(GapStartMs, GapMs, O);
+                 });
   // With attribution on, every category charge went to the attribution
   // entries; the ledger is their per-category sum, which makes the
   // auditor's closure invariant exact by construction. Categories can

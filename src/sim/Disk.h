@@ -5,11 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One disk (I/O node) with FCFS service, a seek/rotation/transfer timing
-/// model, piecewise energy integration, and one of the three power policies
-/// (none / TPM / DRPM). Idle gaps are evaluated lazily when the next
-/// request arrives, which is exact because both policies are deterministic
-/// functions of the gap length (see sim/IdleOutcome.h).
+/// One disk (I/O node), in two layers:
+///
+///  * DiskTimingModel — the one disk timing model: FCFS service with a
+///    seek/rotation/transfer cost, one of the three power policies
+///    (none / TPM / DRPM) evaluated over each idle gap, the deferred DRPM
+///    step-down and emergency ramp, the finalize tail, and the cold-disk
+///    predicate PA-LRU consults. Idle gaps are evaluated lazily when the
+///    next request arrives, which is exact because both policies are
+///    deterministic functions of the gap length (see sim/IdleOutcome.h).
+///  * Disk — a timing model plus its accounting: piecewise energy
+///    integration, the ledger, per-request attribution, idle-gap analytics,
+///    the windowed timeline and the event tracer, all applied from what the
+///    model reports for each fragment.
+///
+/// The sharded engine's coordinator runs bare models; its shards run full
+/// Disks, whose models therefore compute the very same completions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +36,8 @@
 #include "sim/TpmPolicy.h"
 #include "support/Statistics.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 
 namespace dra {
@@ -87,7 +100,168 @@ struct DiskStats {
   }
 };
 
-/// A single simulated disk.
+/// Head movements within this many bytes of the previous request's end are
+/// charged the near-sequential seek time instead of the average seek.
+inline constexpr uint64_t SeqWindowBytes = 1024 * 1024;
+
+/// What DiskTimingModel::submit reports for one serviced fragment.
+struct ServiceSpan {
+  double StartMs = 0.0;      ///< Service start, after any ready delay.
+  double ServiceMs = 0.0;    ///< Seek + rotation + transfer.
+  double CompletionMs = 0.0; ///< StartMs + ServiceMs.
+  double ReadyDelayMs = 0.0; ///< Wake/step delay the ending gap imposed.
+  unsigned Rpm = 0;          ///< Speed the fragment was serviced at.
+  /// DRPM emergency ramp right after the completion (RampLevels == 0:
+  /// none): the disk is busy for RampMs more, then runs at currentRpm().
+  unsigned RampLevels = 0;
+  double RampMs = 0.0;
+};
+
+/// The timing of one disk: completion times, power-state transitions and
+/// the DRPM controller, with no energy accounting. Not movable once
+/// constructed (the policies reference the owned PowerModel) — hold it in
+/// a reserved vector like StorageSystem holds Disks.
+class DiskTimingModel {
+public:
+  DiskTimingModel(const DiskParams &Params, PowerPolicyKind Policy)
+      : PM(Params), Policy(Policy), Tpm(PM), Drpm(PM), Rpm(Params.MaxRpm),
+        PendingRpm(Params.MaxRpm) {}
+
+  const DiskParams &params() const { return PM.params(); }
+  const PowerModel &power() const { return PM; }
+  PowerPolicyKind policy() const { return Policy; }
+  double busyUntilMs() const { return BusyUntilMs; }
+  unsigned currentRpm() const { return Rpm; }
+
+  /// Service time of \p Bytes at \p Rpm (seek + rotation + transfer).
+  double serviceMs(uint64_t Bytes, unsigned Rpm, bool Sequential) const {
+    return PM.serviceMs(Bytes, Rpm, Sequential);
+  }
+
+  /// Evaluates an idle gap of \p GapMs under the policy, starting at
+  /// \p StartRpm with deferred DRPM target \p PendingRpm. \p RequestArrives
+  /// is false for the tail gap at the end of a run (no proactive wake).
+  /// \p WantSegments also fills IdleOutcome::Segments (timeline only; the
+  /// timing outputs are identical either way).
+  IdleOutcome evaluateGap(double GapMs, unsigned StartRpm, unsigned PendingRpm,
+                          bool RequestArrives, bool WantSegments) const;
+
+  /// PA-LRU's notion of a "cold" disk at \p NowMs: idle long enough that
+  /// the policy has taken it to a low-power state.
+  bool isCold(double NowMs) const {
+    double IdleMs = NowMs - BusyUntilMs;
+    return IdleMs > 0 && IdleMs >= params().policyDecisionIdleMs(Policy);
+  }
+
+  /// Services a fragment arriving at \p ArrivalMs for \p Bytes at disk
+  /// offset \p Offset. Requests must arrive in non-decreasing time order
+  /// (FCFS). When the fragment ends an idle gap, \p OnGap(GapStartMs,
+  /// GapMs, const IdleOutcome &) sees the gap's outcome before the
+  /// model's state moves past it.
+  template <typename OnGapFn>
+  ServiceSpan submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
+                     bool WantSegments, OnGapFn &&OnGap);
+
+  /// Timing only: the completion time of the fragment.
+  double submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes) {
+    return submit(ArrivalMs, Offset, Bytes, /*WantSegments=*/false,
+                  [](double, double, const IdleOutcome &) {})
+        .CompletionMs;
+  }
+
+  /// Evaluates the trailing idle gap up to \p EndMs (passed to \p OnGap
+  /// like submit's). Must be called at most once, after the last submit.
+  template <typename OnGapFn>
+  void finalize(double EndMs, bool WantSegments, OnGapFn &&OnGap);
+
+private:
+  PowerModel PM;
+  PowerPolicyKind Policy;
+  TpmPolicy Tpm;
+  DrpmPolicy Drpm;
+
+  double BusyUntilMs = 0.0;
+  unsigned Rpm;
+  /// Deferred DRPM step-down target (== Rpm when none pending).
+  unsigned PendingRpm;
+  uint64_t LastEndOffset = 0;
+  bool HasLastOffset = false;
+  double LastArrivalMs = 0.0;
+  bool Finalized = false;
+
+  /// Evaluates the gap [BusyUntilMs, BusyUntilMs + GapMs), reports it, and
+  /// moves the speed state past it.
+  template <typename OnGapFn>
+  IdleOutcome passGap(double GapMs, bool RequestArrives, bool WantSegments,
+                      OnGapFn &OnGap) {
+    IdleOutcome O =
+        evaluateGap(GapMs, Rpm, PendingRpm, RequestArrives, WantSegments);
+    OnGap(BusyUntilMs, GapMs, O);
+    Rpm = O.EndRpm;
+    PendingRpm = Rpm; // Any deferred step-down has now been honored.
+    return O;
+  }
+};
+
+template <typename OnGapFn>
+ServiceSpan DiskTimingModel::submit(double ArrivalMs, uint64_t Offset,
+                                    uint64_t Bytes, bool WantSegments,
+                                    OnGapFn &&OnGap) {
+  assert(!Finalized && "submit after finalize");
+  assert(ArrivalMs + 1e-9 >= LastArrivalMs &&
+         "requests must arrive in non-decreasing time order");
+  LastArrivalMs = ArrivalMs;
+
+  ServiceSpan Sp;
+  Sp.StartMs = std::max(ArrivalMs, BusyUntilMs);
+  double GapMs = Sp.StartMs - BusyUntilMs;
+  if (GapMs > 0) {
+    Sp.ReadyDelayMs =
+        passGap(GapMs, /*RequestArrives=*/true, WantSegments, OnGap)
+            .ReadyDelayMs;
+    Sp.StartMs += Sp.ReadyDelayMs;
+  }
+
+  bool Sequential = HasLastOffset && Offset >= LastEndOffset &&
+                    Offset - LastEndOffset <= SeqWindowBytes;
+  Sp.Rpm = Rpm;
+  Sp.ServiceMs = PM.serviceMs(Bytes, Rpm, Sequential);
+  BusyUntilMs = Sp.StartMs + Sp.ServiceMs;
+  Sp.CompletionMs = BusyUntilMs;
+  LastEndOffset = Offset + Bytes;
+  HasLastOffset = true;
+
+  if (Policy == PowerPolicyKind::Drpm) {
+    unsigned Cmd =
+        Drpm.onRequestServiced(Sp.CompletionMs - ArrivalMs, Bytes, Rpm);
+    if (Cmd > Rpm) {
+      // Emergency ramp-up: the speed change occupies the disk; later
+      // arrivals queue behind it.
+      Sp.RampLevels = (Cmd - Rpm) / params().RpmStep;
+      Sp.RampMs = PM.rpmTransitionMs(Sp.RampLevels);
+      BusyUntilMs += Sp.RampMs;
+      Rpm = Cmd;
+      PendingRpm = Rpm;
+    } else if (Cmd < Rpm) {
+      PendingRpm = Cmd; // Step-down: deferred until the disk is next idle.
+    }
+  }
+  return Sp;
+}
+
+template <typename OnGapFn>
+void DiskTimingModel::finalize(double EndMs, bool WantSegments,
+                               OnGapFn &&OnGap) {
+  assert(!Finalized && "finalize called twice");
+  Finalized = true;
+  if (EndMs > BusyUntilMs) {
+    passGap(EndMs - BusyUntilMs, /*RequestArrives=*/false, WantSegments,
+            OnGap);
+    BusyUntilMs = EndMs;
+  }
+}
+
+/// A single simulated disk: one DiskTimingModel plus its accounting.
 class Disk {
 public:
   /// \param Trace optional event tracer; when non-null the disk emits its
@@ -110,9 +284,9 @@ public:
        bool Attribution = false, TimelineRecorder *Timeline = nullptr);
 
   unsigned id() const { return Id; }
-  PowerPolicyKind policy() const { return Policy; }
-  unsigned currentRpm() const { return Rpm; }
-  double busyUntilMs() const { return BusyUntilMs; }
+  unsigned currentRpm() const { return Model.currentRpm(); }
+  double busyUntilMs() const { return Model.busyUntilMs(); }
+  const DiskTimingModel &timing() const { return Model; }
   const DiskStats &stats() const { return S; }
 
   /// Services a request arriving at \p ArrivalMs for \p Bytes at disk
@@ -128,20 +302,7 @@ public:
 
 private:
   unsigned Id;
-  DiskParams Params;
-  PowerModel PM;
-  PowerPolicyKind Policy;
-  TpmPolicy Tpm;
-  DrpmPolicy Drpm;
-
-  double BusyUntilMs = 0.0;
-  unsigned Rpm;
-  /// Deferred DRPM step-down target (== Rpm when none pending).
-  unsigned PendingRpm;
-  uint64_t LastEndOffset = 0;
-  bool HasLastOffset = false;
-  double LastArrivalMs = 0.0;
-  bool Finalized = false;
+  DiskTimingModel Model;
   DiskStats S;
   EventTracer *Trace;
   uint64_t TracePid;
@@ -233,8 +394,8 @@ private:
   /// Charges half of \p GA's sums to each bounding entry and empties it.
   void flushGapAccum(GapAccum &GA);
 
-  /// Evaluates the idle gap [BusyUntilMs, GapEnd) under the active policy.
-  IdleOutcome evaluateGap(double GapMs, bool RequestArrives) const;
+  /// Applies one idle gap's outcome to the stats and ledger (or the
+  /// attribution entries).
   /// \param NextE attribution entry of the request ending the gap (the
   ///        unattributed entry for the finalize tail; null when
   ///        attribution is off); \p NextMix is its keyMix.
@@ -244,6 +405,8 @@ private:
   /// Emits the idle span plus spin/RPM instant events for one gap
   /// [GapStartMs, GapStartMs + GapMs) (tracer known non-null).
   void traceGap(double GapStartMs, double GapMs, const IdleOutcome &O) const;
+  /// Records one gap on the timeline (recorder known non-null).
+  void recordGap(double GapStartMs, double GapMs, const IdleOutcome &O);
 };
 
 } // namespace dra

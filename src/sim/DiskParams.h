@@ -17,6 +17,7 @@
 #define DRA_SIM_DISKPARAMS_H
 
 #include <cassert>
+#include <limits>
 #include <string>
 
 namespace dra {
@@ -110,6 +111,22 @@ struct DiskParams {
   }
 
   unsigned maxLevel() const { return numRpmLevels() - 1; }
+
+  /// The shortest idle time after which \p Policy makes a power-state
+  /// decision, in ms: the TPM break-even, the DRPM idle step-down, and
+  /// infinity for None, which never transitions. A disk idle this long is
+  /// cold (PA-LRU), and no sharded-replay window may be longer.
+  double policyDecisionIdleMs(PowerPolicyKind Policy) const {
+    switch (Policy) {
+    case PowerPolicyKind::None:
+      break;
+    case PowerPolicyKind::Tpm:
+      return TpmBreakEvenS * 1000.0;
+    case PowerPolicyKind::Drpm:
+      return DrpmIdleStepDownS * 1000.0;
+    }
+    return std::numeric_limits<double>::infinity();
+  }
 
   /// The analytic TPM break-even time implied by the energy model; Table 1
   /// quotes 15.2 s, which this reproduces to within 0.1 s.

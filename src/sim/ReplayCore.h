@@ -5,21 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The replay core shared by the serial SimEngine and the sharded engine
-/// (sim/ShardedSimEngine.h):
-///
-///  * replayClosedLoop — the closed-loop processor model (think time,
-///    synchronous I/O, per-tenant barrier phases) as a template over the
-///    storage submit function, so both engines run the *same* issue-order
-///    selection code and differ only in what servicing a request means.
-///  * DiskTimingModel — the timing half of Disk::submit: completion times,
-///    power-state transitions and the DRPM controller, without any energy
-///    accounting, attribution, histograms or telemetry. The sharded
-///    engine's coordinator advances one model per disk to learn every
-///    fragment's completion ahead of the owning shard's full replay; the
-///    shard cross-checks each replayed completion against the model's
-///    (ShardedSimEngine), so any divergence between the two paths is an
-///    immediate hard error rather than a silent drift.
+/// The closed-loop processor model shared by the serial SimEngine and the
+/// sharded engine (sim/ShardedSimEngine.h): think time, synchronous I/O and
+/// per-tenant barrier phases, as a template over the storage submit
+/// function, so both engines run the *same* issue-order selection code and
+/// differ only in what servicing a request means. (Disk timing itself
+/// lives in one place, DiskTimingModel in sim/Disk.h.)
 ///
 /// The selection loop issues requests in globally non-decreasing time
 /// (equal-time ties in increasing processor order): a processor's next
@@ -32,9 +23,7 @@
 #ifndef DRA_SIM_REPLAYCORE_H
 #define DRA_SIM_REPLAYCORE_H
 
-#include "sim/DrpmPolicy.h"
-#include "sim/PowerModel.h"
-#include "sim/TpmPolicy.h"
+#include "sim/SimEngine.h"
 #include "trace/Trace.h"
 
 #include <algorithm>
@@ -43,11 +32,6 @@
 
 namespace dra {
 
-/// Head movements within this many bytes of the previous request's end are
-/// charged the near-sequential seek time instead of the average seek
-/// (shared by Disk and DiskTimingModel so both classify identically).
-inline constexpr uint64_t SeqWindowBytes = 1024 * 1024;
-
 /// Runs the closed-loop replay of \p T: each processor alternates think
 /// time and synchronous I/O; barrier phases are scoped per tenant (a
 /// phase-p request of tenant t starts only after all lower-phase requests
@@ -55,12 +39,13 @@ inline constexpr uint64_t SeqWindowBytes = 1024 * 1024;
 ///
 /// \param Submit double(double IssueMs, const Request &R): services the
 ///        request and returns its completion time.
-/// \param Observe void(const Request &R, double IssueMs, double
-///        CompletionMs): per-request bookkeeping after the submit.
+/// Each request's response time adds to \p Res (NumRequests,
+/// ResponseSumMs) in issue order, and to \p Timeline's per-phase latency
+/// when non-null.
 /// \returns the maximum completion time (the run's wall clock).
-template <typename SubmitFn, typename ObserveFn>
-double replayClosedLoop(const Trace &T, SubmitFn &&Submit,
-                        ObserveFn &&Observe) {
+template <typename SubmitFn>
+double replayClosedLoop(const Trace &T, SubmitFn &&Submit, SimResults &Res,
+                        TimelineRecorder *Timeline) {
   // Per-processor request streams in issue order (one flat allocation).
   TraceProcIndex Stream(T);
 
@@ -121,97 +106,13 @@ double replayClosedLoop(const Trace &T, SubmitFn &&Submit,
     PE = std::max(PE, Completion);
     MaxCompletion = std::max(MaxCompletion, Completion);
 
-    Observe(R, BestIssue, Completion);
+    ++Res.NumRequests;
+    Res.ResponseSumMs += Completion - BestIssue;
+    if (Timeline)
+      Timeline->recordRequestLatency(R.Phase, BestIssue, Completion);
   }
   return MaxCompletion;
 }
-
-/// The timing half of one Disk: given the same FCFS fragment sequence it
-/// returns bit-identical completion times (the expressions mirror
-/// Disk::submit operation for operation, and the policies' timing outputs
-/// are independent of WantSegments), while skipping every energy,
-/// attribution, histogram and telemetry charge. Not movable once
-/// constructed (PowerModel and the policies reference the owned Params) —
-/// hold it in a reserved vector like StorageSystem holds Disks.
-class DiskTimingModel {
-public:
-  DiskTimingModel(const DiskParams &Params, PowerPolicyKind Policy)
-      : Params(Params), PM(this->Params), Policy(Policy), Tpm(PM), Drpm(PM),
-        Rpm(this->Params.MaxRpm), PendingRpm(this->Params.MaxRpm) {}
-
-  double busyUntilMs() const { return BusyUntilMs; }
-  unsigned currentRpm() const { return Rpm; }
-
-  /// Timing-only mirror of Disk::submit: returns the completion time a
-  /// Disk would report for this fragment. Requests must arrive in
-  /// non-decreasing time order (FCFS), like Disk.
-  double submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes) {
-    double ServiceStart = std::max(ArrivalMs, BusyUntilMs);
-    double GapMs = ServiceStart - BusyUntilMs;
-    if (GapMs > 0) {
-      IdleOutcome O = evaluateGap(GapMs, /*RequestArrives=*/true);
-      Rpm = O.EndRpm;
-      PendingRpm = Rpm;
-      ServiceStart += O.ReadyDelayMs;
-    }
-
-    bool Sequential = HasLastOffset && Offset >= LastEndOffset &&
-                      Offset - LastEndOffset <= SeqWindowBytes;
-    double Svc = PM.serviceMs(Bytes, Rpm, Sequential);
-    BusyUntilMs = ServiceStart + Svc;
-    double Completion = BusyUntilMs;
-    LastEndOffset = Offset + Bytes;
-    HasLastOffset = true;
-
-    if (Policy == PowerPolicyKind::Drpm) {
-      unsigned Cmd = Drpm.onRequestServiced(Completion - ArrivalMs, Bytes, Rpm);
-      if (Cmd > Rpm) {
-        // Emergency ramp-up occupies the disk after the completion.
-        unsigned Levels = (Cmd - Rpm) / Params.RpmStep;
-        BusyUntilMs += PM.rpmTransitionMs(Levels);
-        Rpm = Cmd;
-        PendingRpm = Rpm;
-      } else if (Cmd < Rpm) {
-        PendingRpm = Cmd; // Deferred until the disk is next idle.
-      }
-    }
-    return Completion;
-  }
-
-private:
-  DiskParams Params;
-  PowerModel PM;
-  PowerPolicyKind Policy;
-  TpmPolicy Tpm;
-  DrpmPolicy Drpm;
-
-  double BusyUntilMs = 0.0;
-  unsigned Rpm;
-  unsigned PendingRpm;
-  uint64_t LastEndOffset = 0;
-  bool HasLastOffset = false;
-
-  /// Mirror of Disk::evaluateGap with segments off (the timing outputs are
-  /// computed identically either way — see TpmPolicy/DrpmPolicy).
-  IdleOutcome evaluateGap(double GapMs, bool RequestArrives) const {
-    switch (Policy) {
-    case PowerPolicyKind::None: {
-      IdleOutcome O;
-      O.GapEnergyJ = Params.IdlePowerW * GapMs / 1000.0;
-      O.IdleByRpmJ[Rpm] = O.GapEnergyJ;
-      O.EndRpm = Rpm;
-      return O;
-    }
-    case PowerPolicyKind::Tpm:
-      return Tpm.evaluateIdle(GapMs, RequestArrives);
-    case PowerPolicyKind::Drpm:
-      return Drpm.evaluateIdle(GapMs, Rpm, PendingRpm,
-                               Params.DrpmProactiveHints && RequestArrives);
-    }
-    assert(false && "unknown policy kind");
-    return IdleOutcome();
-  }
-};
 
 } // namespace dra
 

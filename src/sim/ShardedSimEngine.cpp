@@ -98,7 +98,9 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
   }
 
   // --- Shard workers: drain batches, replay the heavy accounting path,
-  // cross-check every completion against the coordinator bit-for-bit.
+  // cross-check every completion against the coordinator bit-for-bit. Both
+  // sides run the same timing model, so a mismatch means a disk saw its
+  // fragments in another order than the coordinator did.
   auto Worker = [&LocalIndex](ShardState &SS) {
     try {
       while (true) {
@@ -140,8 +142,8 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
   for (const std::unique_ptr<ShardState> &SP : ShardVec)
     Workers.emplace_back(Worker, std::ref(*SP));
 
-  // --- Coordinator: the shared closed loop over lightweight timing models
-  // (bit-identical timing arithmetic to Disk::submit) plus the storage
+  // --- Coordinator: the shared closed loop over bare DiskTimingModels (the
+  // model every shard Disk runs, without its accounting) plus the storage
   // cache; fragments accumulate into per-shard batches flushed at window
   // edges in deterministic (time, proc, seq) order.
   std::vector<DiskTimingModel> Models;
@@ -150,27 +152,13 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
     Models.emplace_back(NodeParams, Policy);
 
   double NowMs = 0.0;
-  StorageCache CacheObj(Cache, [&](unsigned D) {
-    // Mirrors StorageSystem::isDiskCold against the timing models.
-    double IdleMs = NowMs - Models[D].busyUntilMs();
-    if (IdleMs <= 0)
-      return false;
-    switch (Policy) {
-    case PowerPolicyKind::None:
-      return false;
-    case PowerPolicyKind::Tpm:
-      return IdleMs >= NodeParams.TpmBreakEvenS * 1000.0;
-    case PowerPolicyKind::Drpm:
-      return IdleMs >= NodeParams.DrpmIdleStepDownS * 1000.0;
-    }
-    return false;
-  });
+  StorageCache CacheObj(Cache,
+                        [&](unsigned D) { return Models[D].isCold(NowMs); });
 
   std::vector<CompletionBatch> Pending(Shards);
   std::vector<SubRequest> Split;
   uint64_t Seq = 0;
   double WindowEndMs = WindowMs;
-  const uint64_t Unit = Layout.config().StripeUnitBytes;
 
   auto Flush = [&](double EdgeMs) {
     for (unsigned S = 0; S != Shards; ++S) {
@@ -203,20 +191,10 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
         double Completion = IssueMs;
         Layout.splitRequestInto(T.byteOffset(R), R.SizeBytes, Split);
         for (const SubRequest &Sub : Split) {
-          // Cache pass at stripe-unit granularity, identical to
-          // StorageSystem::submit.
-          bool AllHit = CacheObj.enabled();
-          for (uint64_t B = Sub.DiskByteOffset / Unit;
-               B <= (Sub.DiskByteOffset + Sub.Bytes - 1) / Unit; ++B) {
-            if (R.IsWrite) {
-              CacheObj.write(Sub.Disk, B);
-              AllHit = false; // Write-through: the disk is always updated.
-            } else if (!CacheObj.read(Sub.Disk, B)) {
-              AllHit = false;
-            }
-          }
           double C;
-          if (AllHit) {
+          if (CacheObj.accessFragment(Sub.Disk, Sub.DiskByteOffset, Sub.Bytes,
+                                      Layout.config().StripeUnitBytes,
+                                      R.IsWrite)) {
             C = IssueMs + CacheObj.config().HitServiceMs;
           } else {
             C = Models[Sub.Disk].submit(IssueMs, Sub.DiskByteOffset, Sub.Bytes);
@@ -229,12 +207,7 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
         }
         return Completion;
       },
-      [&](const Request &R, double IssueMs, double Completion) {
-        ++Res.NumRequests;
-        Res.ResponseSumMs += Completion - IssueMs;
-        if (Timeline)
-          Timeline->recordRequestLatency(R.Phase, IssueMs, Completion);
-      });
+      Res, Timeline);
 
   // --- Shutdown: final partial window, then release the workers.
   Flush(WindowEndMs);
@@ -253,36 +226,19 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
     if (SP->Error)
       std::rethrow_exception(SP->Error);
 
-  // --- Assembly, in the exact order the serial engine uses so every FP
-  // sum reassociates identically: request latency already accumulated in
-  // issue order above; per-disk scalars accumulate in disk order here.
+  // --- Assembly: request latency already accumulated in issue order
+  // above; per-disk stats are gathered in disk order, as the serial engine
+  // does.
   if (Timeline)
     Timeline->endRun(MaxCompletion);
-  Res.WallTimeMs = MaxCompletion;
-  Res.AttributionEnabled = Attribution;
-  Res.Cache = CacheObj.stats();
-  for (unsigned D = 0; D != NumDisks; ++D) {
-    const ShardState &SS = *ShardVec[Router.shardOf(D)];
-    const DiskStats &S = SS.Disks[LocalIndex[D]].stats();
-    Res.IoTimeMs += S.BusyMs;
-    Res.EnergyJ += S.EnergyJ;
-    Res.NumFragments += S.NumRequests;
-    Res.SpinDowns += S.SpinDowns;
-    Res.SpinUps += S.SpinUps;
-    Res.RpmSteps += S.RpmSteps;
-    Res.PerDisk.push_back(S);
-  }
+  for (unsigned D = 0; D != NumDisks; ++D)
+    Res.PerDisk.push_back(
+        ShardVec[Router.shardOf(D)]->Disks[LocalIndex[D]].stats());
+  finishSimResults(Res, MaxCompletion, Attribution, CacheObj.stats(), Tracer,
+                   TracePid);
   if (MainRun)
     for (const std::unique_ptr<ShardState> &SP : ShardVec)
       if (SP->ShardRun)
         MainRun->merge(std::move(*SP->ShardRun));
-  if (Tracer) {
-    Tracer->nameThread(TracePid, 0, "engine");
-    Tracer->completeEvent(
-        TracePid, 0, "replay", "sim", 0.0, Res.WallTimeMs * 1000.0,
-        {TraceArg::num("num_requests", Res.NumRequests),
-         TraceArg::num("io_time_ms", Res.IoTimeMs),
-         TraceArg::num("energy_j", Res.EnergyJ)});
-  }
   return Res;
 }

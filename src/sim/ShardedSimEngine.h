@@ -12,15 +12,17 @@
 /// a coordinator that advances simulated time in conservative windows.
 ///
 /// The coordinator runs the shared closed loop (sim/ReplayCore.h) against
-/// lightweight per-disk timing models plus the storage cache, computing
-/// every fragment's completion authoritatively; the full per-disk
-/// accounting (the expensive half: ledger categories, attribution map
-/// walks, gap analytics, timeline windows) is replayed concurrently by a
-/// bounded std::jthread pool, one worker per shard, fed per-destination
+/// bare per-disk DiskTimingModels (sim/Disk.h) plus the storage cache,
+/// computing every fragment's completion authoritatively; the full
+/// per-disk accounting (the expensive half: ledger categories, attribution
+/// map walks, gap analytics, timeline windows) is replayed concurrently by
+/// a bounded std::jthread pool, one worker per shard, fed per-destination
 /// CompletionBatches delivered at window edges in deterministic
-/// (time, proc, seq) order. Each shard cross-checks every replayed
-/// completion against the coordinator's expected value bit-for-bit, so the
-/// two replay paths cannot silently diverge.
+/// (time, proc, seq) order. A shard's Disks run the same timing model
+/// again, so each shard cross-checks every replayed completion against the
+/// coordinator's bit-for-bit: a mismatch can only mean that a disk saw its
+/// fragments in another order than the coordinator did, and is a hard
+/// error.
 ///
 /// Results are byte-identical to the serial SimEngine for any shard count
 /// and any legal window (tests/sharded_sim_test.cpp, bench/sharded_sim):

@@ -32,28 +32,31 @@ SimResults SimEngine::run(const Trace &T) const {
         return Storage.submit(IssueMs, T.byteOffset(R), R.SizeBytes, R.IsWrite,
                               R.Prov);
       },
-      [&](const Request &R, double IssueMs, double Completion) {
-        ++Res.NumRequests;
-        Res.ResponseSumMs += Completion - IssueMs;
-        if (Timeline)
-          Timeline->recordRequestLatency(R.Phase, IssueMs, Completion);
-      });
+      Res, Timeline);
 
   Storage.finalize(MaxCompletion);
   if (Timeline)
     Timeline->endRun(MaxCompletion);
-  Res.WallTimeMs = MaxCompletion;
+  for (unsigned D = 0; D != Storage.numDisks(); ++D)
+    Res.PerDisk.push_back(Storage.disk(D).stats());
+  finishSimResults(Res, MaxCompletion, Attribution, Storage.cacheStats(),
+                   Tracer, TracePid);
+  return Res;
+}
+
+void dra::finishSimResults(SimResults &Res, double WallTimeMs,
+                           bool Attribution, const CacheStats &Cache,
+                           EventTracer *Tracer, uint64_t TracePid) {
+  Res.WallTimeMs = WallTimeMs;
   Res.AttributionEnabled = Attribution;
-  Res.Cache = Storage.cacheStats();
-  for (unsigned D = 0; D != Storage.numDisks(); ++D) {
-    const DiskStats &S = Storage.disk(D).stats();
+  Res.Cache = Cache;
+  for (const DiskStats &S : Res.PerDisk) {
     Res.IoTimeMs += S.BusyMs;
     Res.EnergyJ += S.EnergyJ;
     Res.NumFragments += S.NumRequests;
     Res.SpinDowns += S.SpinDowns;
     Res.SpinUps += S.SpinUps;
     Res.RpmSteps += S.RpmSteps;
-    Res.PerDisk.push_back(S);
   }
   if (Tracer) {
     Tracer->nameThread(TracePid, 0, "engine");
@@ -63,7 +66,6 @@ SimResults SimEngine::run(const Trace &T) const {
          TraceArg::num("io_time_ms", Res.IoTimeMs),
          TraceArg::num("energy_j", Res.EnergyJ)});
   }
-  return Res;
 }
 
 EnergyLedger SimResults::totalLedger() const {

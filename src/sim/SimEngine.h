@@ -67,6 +67,15 @@ struct SimResults {
   void merge(const SimResults &O);
 };
 
+/// The run-level assembly both engines share. \p Res arrives with the
+/// per-request sums accumulated in issue order and PerDisk filled in disk
+/// order; the run totals are summed from PerDisk in that order, so every
+/// FP sum reassociates identically in the serial and the sharded engine.
+/// An attached \p Tracer receives the engine-level replay span.
+void finishSimResults(SimResults &Res, double WallTimeMs, bool Attribution,
+                      const CacheStats &Cache, EventTracer *Tracer,
+                      uint64_t TracePid);
+
 /// Replays traces against a fresh storage system per run.
 class SimEngine {
 public:

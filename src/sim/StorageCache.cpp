@@ -73,6 +73,22 @@ void StorageCache::write(unsigned Disk, uint64_t Block) {
     touch(It->second); // Refresh the cached copy (write-through).
 }
 
+bool StorageCache::accessFragment(unsigned Disk, uint64_t Offset,
+                                  uint64_t Bytes, uint64_t UnitBytes,
+                                  bool IsWrite) {
+  if (!enabled())
+    return false;
+  bool AllHit = !IsWrite;
+  for (uint64_t B = Offset / UnitBytes; B <= (Offset + Bytes - 1) / UnitBytes;
+       ++B) {
+    if (IsWrite)
+      write(Disk, B);
+    else if (!read(Disk, B))
+      AllHit = false;
+  }
+  return AllHit;
+}
+
 void StorageCache::clear() {
   Lru.clear();
   Map.clear();

@@ -99,6 +99,13 @@ public:
   /// cached copy, if any, is refreshed in LRU order).
   void write(unsigned Disk, uint64_t Block);
 
+  /// Runs one disk fragment [\p Offset, \p Offset + \p Bytes) through
+  /// the cache, block by block at stripe-unit (\p UnitBytes) granularity.
+  /// Returns true when every block hit, i.e. the fragment never reaches the
+  /// disk; a write always does (write-through).
+  bool accessFragment(unsigned Disk, uint64_t Offset, uint64_t Bytes,
+                      uint64_t UnitBytes, bool IsWrite);
+
   /// Drops every cached block (used between simulation runs).
   void clear();
 

@@ -31,9 +31,11 @@ StorageSystem::StorageSystem(const DiskLayout &Layout, const DiskParams &Params,
                              PowerPolicyKind Policy, CacheConfig CacheCfg,
                              EventTracer *Trace, uint64_t TracePid,
                              bool Attribution, TimelineRecorder *Timeline)
-    : Layout(Layout), Policy(Policy),
-      NodeParams(scaleForNode(Params, Layout.config().DisksPerNode)),
-      Cache(CacheCfg, [this](unsigned D) { return isDiskCold(D); }) {
+    : Layout(Layout), Cache(CacheCfg, [this](unsigned D) {
+        return Disks[D].timing().isCold(NowMs);
+      }) {
+  const DiskParams NodeParams =
+      scaleForNode(Params, Layout.config().DisksPerNode);
   Disks.reserve(Layout.numDisks());
   for (unsigned D = 0; D != Layout.numDisks(); ++D) {
     Disks.emplace_back(D, NodeParams, Policy, Trace, TracePid, Attribution,
@@ -43,41 +45,14 @@ StorageSystem::StorageSystem(const DiskLayout &Layout, const DiskParams &Params,
   }
 }
 
-bool StorageSystem::isDiskCold(unsigned D) const {
-  double IdleMs = NowMs - Disks[D].busyUntilMs();
-  if (IdleMs <= 0)
-    return false;
-  switch (Policy) {
-  case PowerPolicyKind::None:
-    return false;
-  case PowerPolicyKind::Tpm:
-    return IdleMs >= NodeParams.TpmBreakEvenS * 1000.0;
-  case PowerPolicyKind::Drpm:
-    return IdleMs >= NodeParams.DrpmIdleStepDownS * 1000.0;
-  }
-  return false;
-}
-
 double StorageSystem::submit(double ArrivalMs, uint64_t GlobalOffset,
                              uint64_t Bytes, bool IsWrite, Provenance Prov) {
   NowMs = ArrivalMs;
   double Completion = ArrivalMs;
-  uint64_t Unit = Layout.config().StripeUnitBytes;
   Layout.splitRequestInto(GlobalOffset, Bytes, SplitScratch);
   for (const SubRequest &Sub : SplitScratch) {
-    // The cache works at stripe-unit granularity; a fragment goes to disk
-    // unless every block it covers hits.
-    bool AllHit = Cache.enabled();
-    for (uint64_t B = Sub.DiskByteOffset / Unit;
-         B <= (Sub.DiskByteOffset + Sub.Bytes - 1) / Unit; ++B) {
-      if (IsWrite) {
-        Cache.write(Sub.Disk, B);
-        AllHit = false; // Write-through: the disk is always updated.
-      } else if (!Cache.read(Sub.Disk, B)) {
-        AllHit = false;
-      }
-    }
-    double C = AllHit
+    double C = Cache.accessFragment(Sub.Disk, Sub.DiskByteOffset, Sub.Bytes,
+                                    Layout.config().StripeUnitBytes, IsWrite)
                    ? ArrivalMs + Cache.config().HitServiceMs
                    : Disks[Sub.Disk].submit(ArrivalMs, Sub.DiskByteOffset,
                                             Sub.Bytes, IsWrite, Prov);

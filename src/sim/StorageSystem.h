@@ -60,18 +60,12 @@ public:
 
 private:
   const DiskLayout &Layout;
-  PowerPolicyKind Policy;
-  DiskParams NodeParams;
   std::vector<Disk> Disks;
   StorageCache Cache;
   double NowMs = 0.0; ///< Arrival time of the in-flight submit (for PA-LRU).
   /// Reused fragment buffer for splitRequestInto: replay submits millions
   /// of requests, so the per-request split must not allocate.
   std::vector<SubRequest> SplitScratch;
-
-  /// PA-LRU's notion of a "cold" disk: it has been idle long enough that
-  /// the active power policy has taken it to a low-power state.
-  bool isDiskCold(unsigned D) const;
 };
 
 } // namespace dra

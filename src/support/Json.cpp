@@ -484,6 +484,22 @@ private:
 
 } // namespace
 
+bool dra::isJsonInteger(const JsonValue &V) {
+  return V.isNumber() && std::isfinite(V.Num) && V.Num == std::floor(V.Num);
+}
+
+bool dra::jsonUnsigned(const JsonValue &V, uint64_t &Out, uint64_t Lo,
+                       uint64_t Hi) {
+  // 2^64 is exact as a double, and every integral double below it converts.
+  if (!isJsonInteger(V) || V.Num < 0.0 || V.Num >= 18446744073709551616.0)
+    return false;
+  uint64_t U = uint64_t(V.Num);
+  if (U < Lo || U > Hi)
+    return false;
+  Out = U;
+  return true;
+}
+
 bool dra::parseJson(const std::string &Text, JsonValue &Out,
                     std::string &Error) {
   Out = JsonValue();

@@ -106,6 +106,18 @@ struct JsonValue {
   const JsonValue *find(const std::string &Key) const;
 };
 
+/// True when \p V is a finite number with no fractional part (of any sign
+/// or magnitude).
+bool isJsonInteger(const JsonValue &V);
+
+/// Reads \p V as an integer in [\p Lo, \p Hi] into \p Out. The range is
+/// checked on the double before any conversion, so a non-finite,
+/// fractional, negative or too-large number is rejected instead of being
+/// cast (a float-to-integer cast of an unrepresentable value is
+/// undefined). \p Out is written only on success.
+bool jsonUnsigned(const JsonValue &V, uint64_t &Out, uint64_t Lo = 0,
+                  uint64_t Hi = UINT64_MAX);
+
 /// Parses \p Text as one JSON document. Returns false (with \p Error set,
 /// including the byte offset) on any syntax violation or trailing garbage.
 bool parseJson(const std::string &Text, JsonValue &Out, std::string &Error);

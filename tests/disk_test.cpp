@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 using namespace dra;
 
 namespace {
@@ -191,4 +193,84 @@ TEST(DiskTest, EnergyConservationAgainstManualTimeline) {
                     + 135.0                               // spin up
                     + ActiveW * Svc / 1000.0;             // req 3 (random)
   EXPECT_NEAR(D.stats().EnergyJ, Expected, 1e-6);
+}
+
+// The oracle behind the one timing model: a Disk with every accounting
+// sink attached (attribution, timeline, tracer) must time a fragment
+// stream exactly as a bare DiskTimingModel does — completions, busy-until
+// and RPM bit-for-bit, through TPM spin-downs, DRPM step-downs and
+// emergency ramps, and the finalize tail.
+TEST(DiskTest, AccountingNeverChangesTiming) {
+  DiskParams P;
+  P.SeqSeekMs = 0.5; // Let sequential runs shorten service.
+  double BreakEvenMs = P.TpmBreakEvenS * 1000.0;
+  for (PowerPolicyKind Policy :
+       {PowerPolicyKind::None, PowerPolicyKind::Tpm, PowerPolicyKind::Drpm}) {
+    unsigned Ramps = 0, SpinDowns = 0, StepDowns = 0;
+    for (uint64_t Seed : {1u, 2u, 3u, 4u, 5u}) {
+      SCOPED_TRACE(testing::Message() << "policy " << unsigned(Policy)
+                                      << " seed " << Seed);
+      std::mt19937_64 Rng(Seed);
+      EventTracer Tracer;
+      uint64_t Pid = Tracer.addProcess("oracle");
+      TimelineRecorder TL(500.0);
+      TL.beginRun("oracle", 1);
+      Disk D(0, P, Policy, &Tracer, Pid, /*Attribution=*/true, &TL);
+      DiskTimingModel M(P, Policy);
+      auto CountGap = [&](double, double, const IdleOutcome &O) {
+        SpinDowns += O.SpinDowns;
+        StepDowns += O.RpmSteps;
+      };
+
+      double Arrival = 0.0;
+      uint64_t Offset = 0;
+      for (unsigned I = 0; I != 300; ++I) {
+        // Mostly bursts that queue, some gaps that let DRPM step down, and
+        // gaps on both sides of the TPM break-even.
+        switch (Rng() % 10) {
+        case 0:
+          Arrival += BreakEvenMs * (0.5 + double(Rng() % 1000) / 1000.0);
+          break;
+        case 1:
+        case 2:
+          Arrival += 1000.0 + double(Rng() % 9000);
+          break;
+        default:
+          Arrival += double(Rng() % 4000) / 1000.0;
+          break;
+        }
+        if (Rng() % 3 != 0)
+          Offset = (Rng() % 100000) * 4096; // Otherwise sequential.
+        uint64_t Bytes = 4096 * (1 + Rng() % 64);
+        Provenance Prov;
+        Prov.Nest = uint32_t(Rng() % 3);
+        Prov.Ref = uint32_t(Rng() % 4);
+        Prov.Round = I / 50;
+
+        double C = D.submit(Arrival, Offset, Bytes, Rng() % 3 == 0, Prov);
+        ServiceSpan Sp =
+            M.submit(Arrival, Offset, Bytes, /*WantSegments=*/false, CountGap);
+        Ramps += Sp.RampLevels != 0;
+        ASSERT_EQ(C, Sp.CompletionMs) << "fragment " << I;
+        ASSERT_EQ(D.busyUntilMs(), M.busyUntilMs()) << "fragment " << I;
+        ASSERT_EQ(D.currentRpm(), M.currentRpm()) << "fragment " << I;
+        Offset += Bytes;
+      }
+      double EndMs = M.busyUntilMs() + 2.0 * BreakEvenMs;
+      D.finalize(EndMs);
+      M.finalize(EndMs, /*WantSegments=*/false, CountGap);
+      TL.endRun(EndMs);
+      EXPECT_EQ(D.busyUntilMs(), M.busyUntilMs());
+      EXPECT_EQ(D.currentRpm(), M.currentRpm());
+      EXPECT_EQ(D.stats().NumRequests, 300u);
+    }
+    // The streams must exercise what each policy can do.
+    if (Policy == PowerPolicyKind::Tpm) {
+      EXPECT_GT(SpinDowns, 0u);
+    }
+    if (Policy == PowerPolicyKind::Drpm) {
+      EXPECT_GT(StepDowns, 0u);
+      EXPECT_GT(Ramps, 0u);
+    }
+  }
 }

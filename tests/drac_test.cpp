@@ -93,7 +93,8 @@ TEST(DracTimingsTest, EveryLayerAndExportIsTimed) {
   // The metrics document is written last, so it holds every other export;
   // the table is printed after all files are written, so it holds all.
   for (const char *Pass :
-       {"verify-ir", "verify-layout", "verify-footprint", "verify-schedule",
+       {"parse", "verify-ir", "verify-layout", "verify-footprint",
+        "verify-schedule",
         "trace-gen", "simulate", "export.report", "export.ledger",
         "export.attrib", "export.flame", "export.footprint", "export.timeline",
         "export.trace", "export.metrics"}) {
@@ -104,9 +105,33 @@ TEST(DracTimingsTest, EveryLayerAndExportIsTimed) {
       continue;
     const JsonValue *H = Hists->find("pass." + P + ".wall_ms");
     ASSERT_NE(H, nullptr) << P;
-    if (P.rfind("export.", 0) == 0) {
+    if (P == "parse" || P.rfind("export.", 0) == 0) {
       EXPECT_EQ(H->find("count")->Num, 1.0) << P;
     }
+  }
+  fs::remove_all(Dir);
+}
+
+TEST(DracTenantsTest, SpecProcsOutsideCliRangeIsRejected) {
+  // A tenant spec's 'procs' obeys the same [1, 4096] as --procs, and a
+  // value no integer type holds (1e30) is rejected before any conversion.
+  namespace fs = std::filesystem;
+  fs::path Dir = fs::temp_directory_path() / indexed("drac-tenants-", getpid());
+  fs::create_directories(Dir);
+  std::string Demo = std::string(DRA_SOURCE_DIR) + "/examples/programs/demo.dra";
+  for (const char *Procs : {"0", "-1", "2.5", "5000", "1e30"}) {
+    std::string Spec = (Dir / "spec.json").string();
+    std::ofstream(Spec) << R"({"schema": "dra-tenants-v1", "procs": )"
+                        << Procs << R"(, "tenants": [{"file": ")" << Demo
+                        << R"("}]})";
+    std::string Err = (Dir / "stderr.txt").string();
+    EXPECT_EQ(run({DRAC_PATH, "--tenants", Spec},
+                  (Dir / "stdout.txt").string(), Err),
+              1)
+        << Procs;
+    EXPECT_NE(readText(Err).find("'procs' must be an integer in [1, 4096]"),
+              std::string::npos)
+        << Procs << ": " << readText(Err);
   }
   fs::remove_all(Dir);
 }

@@ -73,6 +73,29 @@ TEST_F(SpecParse, OutOfRangeValuesAreDiagnosed) {
   EXPECT_NE(Diags.findCheck("out-of-range"), nullptr);
 }
 
+TEST_F(SpecParse, IntegersAreRangeCheckedBeforeConversion) {
+  // Negative and huge integers are out of range, not casts to garbage;
+  // fractions and non-integers stay type errors.
+  for (const char *Axis : {"[-1]", "[1e30]", "[5000]"}) {
+    Diags.clear();
+    EXPECT_FALSE(parse(std::string(R"({"apps": ["AST"], "procs": )") + Axis +
+                       "}"))
+        << Axis;
+    EXPECT_NE(Diags.findCheck("out-of-range"), nullptr) << Axis;
+    EXPECT_EQ(Diags.findCheck("wrong-type"), nullptr) << Axis;
+  }
+  Diags.clear();
+  EXPECT_FALSE(parse(R"({"apps": ["AST"], "procs": [1.5]})"));
+  EXPECT_NE(Diags.findCheck("wrong-type"), nullptr);
+  for (const char *Scalar : {R"("block_bytes": 1e30)", R"("block_bytes": -512)",
+                             R"("sim_shards": 1e30)", R"("sim_shards": -1)"}) {
+    Diags.clear();
+    EXPECT_FALSE(parse(std::string(R"({"apps": ["AST"], )") + Scalar + "}"))
+        << Scalar;
+    EXPECT_NE(Diags.findCheck("out-of-range"), nullptr) << Scalar;
+  }
+}
+
 TEST_F(SpecParse, NoProgramsIsDiagnosed) {
   EXPECT_FALSE(parse(R"({"procs": [1]})"));
   EXPECT_NE(Diags.findCheck("no-programs"), nullptr);

@@ -266,16 +266,19 @@ TEST(ShardedSimTest, BatchOrderIsTimeProcSeq) {
   EXPECT_EQ(B.Events.back().Seq, 7u);
 }
 
-TEST(ShardedSimTest, DivergenceCrossCheckFiresOnCorruptedTrace) {
-  // FCFS requires nondecreasing arrivals per disk; the coordinator's timing
-  // model and the shard's Disk both see the same stream, so a legal trace
-  // can never diverge. This test documents the check exists by exercising
-  // the happy path: a clean run must not throw.
+TEST(ShardedSimTest, CompletionCrossCheckPassesOnCleanTrace) {
+  // Every shard Disk re-times its fragments with the same DiskTimingModel
+  // the coordinator ran, and throws if a completion differs; a legal trace
+  // delivered in batch order must get through the check at any shard count.
   Rig R(8, 128);
   DiskParams P;
   Trace T = makeRandomTrace(3, 2, 128, 30, 4242);
-  ShardedSimEngine E(R.Layout, P, PowerPolicyKind::Tpm, 4);
-  EXPECT_NO_THROW(E.run(T));
+  for (PowerPolicyKind Policy :
+       {PowerPolicyKind::None, PowerPolicyKind::Tpm, PowerPolicyKind::Drpm})
+    for (unsigned Shards : {1u, 2u, 4u, 8u}) {
+      ShardedSimEngine E(R.Layout, P, Policy, Shards);
+      EXPECT_NO_THROW(E.run(T)) << Shards << " shards";
+    }
 }
 
 //===----------------------------------------------------------------------===//

@@ -439,6 +439,28 @@ TEST(ServeSlo, SpecParsing) {
       << "an SLO spec with no rules is a mistake, not a pass";
 }
 
+// window_ticks is range-checked as a double: 1e30 used to convert to 0, the
+// whole-session window, and negative or fractional windows are no integers.
+TEST(ServeSlo, WindowTicksOutsideUint64IsRejected) {
+  SloSpec Spec;
+  std::string Error;
+  for (const char *W : {"1e30", "-1", "2.5", "18446744073709551616"}) {
+    EXPECT_FALSE(parseSloSpec(std::string(R"({"schema": "dra-slo-v1", )") +
+                                  R"("window_ticks": )" + W +
+                                  R"(, "slos": [{"metric": "max_backlog", )" +
+                                  R"("max": 1}]})",
+                              Spec, Error))
+        << W;
+    EXPECT_NE(Error.find("window_ticks"), std::string::npos) << W;
+  }
+  EXPECT_TRUE(parseSloSpec(
+      R"({"schema": "dra-slo-v1", "window_ticks": 9007199254740992,
+          "slos": [{"metric": "max_backlog", "max": 1}]})",
+      Spec, Error))
+      << Error;
+  EXPECT_EQ(Spec.WindowTicks, uint64_t(1) << 53);
+}
+
 // SLO evaluation: a generous spec passes, a zero-tolerance spec violates
 // in the windows where the budgeted session deferred, and the violations
 // surface as serve-slo diagnostics.

@@ -382,13 +382,13 @@ static int runTenants(const std::string &SpecPath, Scheme S, bool SchemeSet,
     }
   }
   if (const JsonValue *V = Doc.find("procs"); V && !ProcsSet) {
-    if (!V->isNumber() || V->Num != double(unsigned(V->Num)) ||
-        unsigned(V->Num) < 1) {
-      std::fprintf(stderr, "drac: error: tenant spec 'procs' must be a "
-                           "positive integer\n");
+    uint64_t U = 0;
+    if (!jsonUnsigned(*V, U, 1, 4096)) {
+      std::fprintf(stderr, "drac: error: tenant spec 'procs' must be an "
+                           "integer in [1, 4096]\n");
       return 1;
     }
-    Procs = unsigned(V->Num);
+    Procs = unsigned(U);
   }
   const JsonValue *TenantsV = Doc.find("tenants");
   if (!TenantsV || !TenantsV->isArray() || TenantsV->Arr.empty()) {
@@ -746,8 +746,20 @@ int main(int argc, char **argv) {
   if (Schemes.empty())
     Schemes = Procs > 1 ? allSchemes() : singleProcSchemes();
 
+  // Telemetry sinks are created only when requested, so the default run
+  // takes the zero-overhead no-sink path (docs/OBSERVABILITY.md).
+  EventTracer Tracer;
+  MetricsRegistry Metrics;
+  TimelineRecorder Timeline{double(TimelineWindowMs)};
+  MetricsRegistry *PassMetrics =
+      !MetricsJson.empty() || Timings ? &Metrics : nullptr;
+
   std::string Error;
-  auto P = Parser::parseFile(Path, Error);
+  std::optional<Program> P;
+  {
+    PassTimer PT(nullptr, 0, 0, "parse", PassMetrics);
+    P = Parser::parseFile(Path, Error);
+  }
   if (!P) {
     std::fprintf(stderr, "%s: error: %s\n", Path.c_str(), Error.c_str());
     return 1;
@@ -769,15 +781,9 @@ int main(int argc, char **argv) {
   if (Verify)
     Cfg.Verify = VerifyLevel::Full;
 
-  // Telemetry sinks are created only when requested, so the default run
-  // takes the zero-overhead no-sink path (docs/OBSERVABILITY.md).
-  EventTracer Tracer;
-  MetricsRegistry Metrics;
-  TimelineRecorder Timeline{double(TimelineWindowMs)};
   if (!TraceJson.empty())
     Cfg.Trace = &Tracer;
-  if (!MetricsJson.empty() || Timings)
-    Cfg.Metrics = &Metrics;
+  Cfg.Metrics = PassMetrics;
   if (!TimelineJson.empty())
     Cfg.Timeline = &Timeline;
 
@@ -883,7 +889,7 @@ int main(int argc, char **argv) {
       // Every layer the run executed, in pipeline execution order so runs
       // diff cleanly; the same histograms back the JSON exports.
       std::vector<std::string> Passes = {
-          "verify-ir", "iteration-space", "tile-access-table", "disk-layout",
+          "parse", "verify-ir", "iteration-space", "tile-access-table", "disk-layout",
           "symbolic-footprint", "dependence-graph", "scheduler-init",
           "verify-layout", "verify-footprint", "parallelize", "restructure",
           "verify-schedule", "compile", "trace-gen", "simulate"};
